@@ -30,13 +30,10 @@ from .criteria import (
     Classification,
     CriteriaReport,
     classify,
-    detm_canonical,
-    detm_epsilon_form,
     epr_degree,
     epr_uncertainty,
     fidelity,
     m_matrix,
-    qt_epr_bound,
     report_to_json,
 )
 from .errors import (
@@ -57,12 +54,7 @@ from .resources import (
     single_mode_sth,
     tmst,
 )
-from .sampling import (
-    random_physical_covmat,
-    random_physical_covmats,
-    random_separable_covmat,
-    random_separable_covmats,
-)
+from .sampling import random_physical_covmats, random_separable_covmats
 from .sweep import AxisSpec, RegionGrid, SweepConfig, run_sweep
 
 __version__ = "0.1.0"
@@ -92,8 +84,6 @@ __all__ = [
     "classify",
     "covmat_from_json",
     "covmat_to_json",
-    "detm_canonical",
-    "detm_epsilon_form",
     "epr_degree",
     "epr_uncertainty",
     "fidelity",
@@ -104,12 +94,9 @@ __all__ = [
     "nonclassicality_threshold",
     "partial_transpose",
     "ppt_nu_minus",
-    "qt_epr_bound",
     "r_ent_threshold",
     "r_qt_threshold",
-    "random_physical_covmat",
     "random_physical_covmats",
-    "random_separable_covmat",
     "random_separable_covmats",
     "report_to_json",
     "require_physical",

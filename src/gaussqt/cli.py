@@ -15,7 +15,13 @@ import sys
 import warnings
 
 from . import core, criteria, oracle, resources, sweep
-from .errors import GridSizeError, InvalidInput, QuadratureWarning
+from .errors import (
+    GridSizeError,
+    InvalidInput,
+    NumericalDomainError,
+    PreconditionFailed,
+    QuadratureWarning,
+)
 
 __all__ = ["main", "entry"]
 
@@ -28,6 +34,18 @@ EXIT_ORACLE_DISAGREEMENT = 6
 
 ORACLE_AGREEMENT = 1e-5
 
+# every failure a subcommand can raise, by exit code; a subclass takes the
+# code of its nearest listed ancestor (GridSizeError is an InvalidInput)
+_EXIT_CODES = {
+    PreconditionFailed: EXIT_UNPHYSICAL,
+    InvalidInput: EXIT_BAD_INPUT,
+    NumericalDomainError: EXIT_BAD_INPUT,
+    GridSizeError: EXIT_GRID_TOO_LARGE,
+    OSError: EXIT_IO,
+}
+
+_RECORD = {"json": core.record_json, "csv": core.record_csv}
+
 
 class _UsageError(Exception):
     pass
@@ -39,10 +57,6 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _b(v) -> str:
-    return "true" if v else "false"
-
-
 def _emit(text: str, out: str | None) -> None:
     if out:
         with open(out, "w", encoding="utf-8", newline="") as fh:
@@ -51,81 +65,49 @@ def _emit(text: str, out: str | None) -> None:
         print(text)
 
 
-def _validity_json(rep: core.ValidityReport) -> str:
-    return (
-        f'{{"symmetric": {_b(rep.symmetric)}, "nu_minus": {core.fmt17(rep.nu_minus)}, '
-        f'"nu_plus": {core.fmt17(rep.nu_plus)}, "physical": {_b(rep.physical)}}}'
-    )
-
-
 def _analysis_json(validity, report, label, params, verdict) -> str:
-    lines = [f'  "validity": {_validity_json(validity)}']
-    lines.append(f'  "classification": "{label.value}"')
-    lines.append(f'  "report": {criteria.report_to_json(report)}')
-    if params is not None:
-        lines.append(
-            '  "canonical": {'
-            f'"eta": {core.fmt17(params.eta)}, "zeta": {core.fmt17(params.zeta)}, '
-            f'"c1": {core.fmt17(params.c1)}, "c2": {core.fmt17(params.c2)}'
-            "}"
-        )
-    else:
-        lines.append('  "canonical": null')
-    if verdict is not None:
-        lines.append(
-            '  "entanglement": {'
-            f'"simon_lhs": {core.fmt17(verdict.simon_lhs)}, '
-            f'"simon_entangled": {_b(verdict.simon_entangled)}, '
-            f'"ppt_nu_minus": {core.fmt17(verdict.ppt_nu_minus)}, '
-            f'"ppt_entangled": {_b(verdict.ppt_entangled)}'
-            "}"
-        )
-    else:
-        lines.append('  "entanglement": null')
-    return "{\n" + ",\n".join(lines) + "\n}"
-
-
-_ANALYSIS_CSV_HEADER = "delta_epr,f_epr,det_m,fidelity,entangled,epr,qt,class"
+    fields = {
+        "validity": vars(validity),
+        "classification": label.value,
+        "report": vars(report),
+        "canonical": None if params is None else vars(params),
+        "entanglement": None if verdict is None else vars(verdict),
+    }
+    return "{\n" + ",\n".join(f'  "{k}": {core.json_token(v)}' for k, v in fields.items()) + "\n}"
 
 
 def _analysis_csv(report, label) -> str:
-    return _ANALYSIS_CSV_HEADER + "\n" + (
-        f"{core.fmt17(report.delta_epr)},{core.fmt17(report.f_epr)},"
-        f"{core.fmt17(report.det_m)},{core.fmt17(report.fidelity)},"
-        f"{int(report.entangled)},{int(report.epr_correlated)},{int(report.qt)},"
-        f"{label.value}"
-    )
+    return core.record_csv({
+        "delta_epr": report.delta_epr,
+        "f_epr": report.f_epr,
+        "det_m": report.det_m,
+        "fidelity": report.fidelity,
+        "entangled": report.entangled,
+        "epr": report.epr_correlated,
+        "qt": report.qt,
+        "class": label.value,
+    })
 
 
 def _print_analysis(V, args) -> int:
     validity = core.validate(V)
-    report, label = criteria.classify(V)
     if not validity.physical:
+        report, label = criteria.classify(V)
         _emit(_analysis_json(validity, report, label, None, None), args.out)
         return EXIT_UNPHYSICAL
+    cols = criteria._evaluate(V)
+    report, label = criteria._report(cols)
     if args.format == "csv":
         _emit(_analysis_csv(report, label), args.out)
         return EXIT_OK
     params, _ = core.to_canonical(V)
-    verdict = core.simon_inseparable(V)
+    verdict = core._verdict(V, cols.ppt_nu_minus)
     _emit(_analysis_json(validity, report, label, params, verdict), args.out)
     return EXIT_OK
 
 
 def _cmd_analyze(args) -> int:
-    try:
-        V = core.load_covmat(args.path)
-    except OSError as exc:
-        print(f"error: cannot read {args.path}: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except InvalidInput as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    try:
-        return _print_analysis(V, args)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    return _print_analysis(core.load_covmat(args.path), args)
 
 
 def _build_state(args):
@@ -137,19 +119,11 @@ def _build_state(args):
 
 
 def _cmd_state(args) -> int:
-    try:
-        V = _build_state(args)
-    except InvalidInput as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    try:
-        code = _print_analysis(V, args)
-        if args.emit_cm:
-            core.save_covmat(V, args.emit_cm)
-        return code
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    V = _build_state(args)
+    code = _print_analysis(V, args)
+    if args.emit_cm:
+        core.save_covmat(V, args.emit_cm)
+    return code
 
 
 def _parse_axis(name: str, text: str) -> sweep.AxisSpec:
@@ -164,106 +138,43 @@ def _parse_axis(name: str, text: str) -> sweep.AxisSpec:
 
 
 def _cmd_sweep(args) -> int:
-    try:
-        if args.family == "tmst":
-            axis1 = _parse_axis("k1", args.k1)
-            axis2 = _parse_axis("k2", args.k2)
-        else:
-            axis1 = _parse_axis("k", args.k)
-            axis2 = _parse_axis("T", args.T)
-        config = sweep.SweepConfig(
-            family=args.family,
-            fixed={"r": args.r},
-            axis1=axis1,
-            axis2=axis2,
-            output_path=args.out,
-            format=args.format,
-        )
-    except GridSizeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_GRID_TOO_LARGE
-    except InvalidInput as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-
+    names = ("k1", "k2") if args.family == "tmst" else ("k", "T")
+    axis1, axis2 = (_parse_axis(name, getattr(args, name)) for name in names)
+    config = sweep.SweepConfig(
+        family=args.family, fixed={"r": args.r}, axis1=axis1, axis2=axis2, format=args.format
+    )
     grid = sweep.run_sweep(config)
-    try:
-        if args.out:
-            grid.write(args.out, args.format)
-        else:
-            sys.stdout.write(grid.to_text(args.format))
-    except OSError as exc:
-        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-        return EXIT_IO
-    if args.out and not args.quiet:
+    if not args.out:
+        sys.stdout.write(grid.to_text())
+        return EXIT_OK
+    grid.write(args.out)
+    if not args.quiet:
         print(f"wrote {grid.n_rows} rows to {args.out}")
     return EXIT_OK
 
 
 def _cmd_thresholds(args) -> int:
-    try:
-        r_ent = resources.r_ent_threshold(args.k1, args.k2)
-        r_qt = resources.r_qt_threshold(args.k1, args.k2)
-    except InvalidInput as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    diff = r_qt - r_ent
-    if args.format == "csv":
-        text = "k1,k2,r_ent,r_qt,difference\n" + (
-            f"{core.fmt17(args.k1)},{core.fmt17(args.k2)},"
-            f"{core.fmt17(r_ent)},{core.fmt17(r_qt)},{core.fmt17(diff)}"
-        )
-    else:
-        text = (
-            "{"
-            f'"k1": {core.fmt17(args.k1)}, "k2": {core.fmt17(args.k2)}, '
-            f'"r_ent": {core.fmt17(r_ent)}, "r_qt": {core.fmt17(r_qt)}, '
-            f'"difference": {core.fmt17(diff)}'
-            "}"
-        )
-    try:
-        _emit(text, args.out)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    r_ent = resources.r_ent_threshold(args.k1, args.k2)
+    r_qt = resources.r_qt_threshold(args.k1, args.k2)
+    fields = {"k1": args.k1, "k2": args.k2, "r_ent": r_ent, "r_qt": r_qt,
+              "difference": r_qt - r_ent}
+    _emit(_RECORD[args.format](fields), args.out)
     return EXIT_OK
 
 
 def _cmd_oracle(args) -> int:
-    try:
-        V = _build_state(args)
-        qspec = oracle.QuadratureSpec(
-            radius=args.radius, points_per_axis=args.points, rule=args.rule
-        )
-    except InvalidInput as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-
+    V = _build_state(args)
+    qspec = oracle.QuadratureSpec(
+        radius=args.radius, points_per_axis=args.points, rule=args.rule
+    )
     closed = criteria.fidelity(V)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", QuadratureWarning)
         result = oracle.fidelity_by_quadrature(V, qspec)
     diff = abs(closed - result.value)
-    if args.format == "csv":
-        text = "closed_form,quadrature,abs_difference,est_error,warning\n" + (
-            f"{core.fmt17(closed)},{core.fmt17(result.value)},"
-            f"{core.fmt17(diff)},{core.fmt17(result.est_error)},{int(result.warn)}"
-        )
-    else:
-        text = (
-            "{"
-            f'"closed_form": {core.fmt17(closed)}, '
-            f'"quadrature": {core.fmt17(result.value)}, '
-            f'"abs_difference": {core.fmt17(diff)}, '
-            f'"est_error": {core.fmt17(result.est_error)}, '
-            f'"warning": {_b(result.warn)}'
-            "}"
-        )
-    try:
-        _emit(text, args.out)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    fields = {"closed_form": closed, "quadrature": result.value, "abs_difference": diff,
+              "est_error": result.est_error, "warning": result.warn}
+    _emit(_RECORD[args.format](fields), args.out)
     if result.warn or diff >= ORACLE_AGREEMENT:
         return EXIT_ORACLE_DISAGREEMENT
     return EXIT_OK
@@ -358,7 +269,11 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    return args.func(args)
+    try:
+        return args.func(args)
+    except tuple(_EXIT_CODES) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return next(_EXIT_CODES[cls] for cls in type(exc).__mro__ if cls in _EXIT_CODES)
 
 
 def entry() -> None:

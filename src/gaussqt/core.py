@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInput, PreconditionFailed
+from .errors import InvalidInput, NumericalDomainError, PreconditionFailed
 
 __all__ = [
     "J2",
@@ -45,6 +45,10 @@ __all__ = [
     "from_canonical",
     "to_canonical",
     "fmt17",
+    "json_bool",
+    "json_token",
+    "record_json",
+    "record_csv",
     "covmat_to_json",
     "covmat_from_json",
     "save_covmat",
@@ -120,26 +124,33 @@ class ValidityReport:
     physical: bool
 
 
+def _physicality(V: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``(symmetric, nu_minus, nu_plus, physical)`` of a finite stack: the one
+    statement of the physicality rule, nu_minus >= 1/2 - 1e-10 on a
+    symmetric matrix."""
+    symmetric = _is_symmetric(V)
+    nm, np_ = _sym_eigs(V)
+    return symmetric, nm, np_, symmetric & np.isfinite(nm) & (nm >= 0.5 - PHYSICALITY_TOL)
+
+
 def validate(V) -> ValidityReport:
     """Check symmetry and the uncertainty bound nu_minus >= 1/2 - 1e-10."""
     V = _as_covmat(V)
     if V.ndim != 2:
         raise InvalidInput("validate expects a single 4x4 matrix")
-    symmetric = bool(_is_symmetric(V))
-    nm, np_ = _sym_eigs(V)
-    nm, np_ = float(nm), float(np_)
-    physical = symmetric and math.isfinite(nm) and nm >= 0.5 - PHYSICALITY_TOL
-    return ValidityReport(symmetric=symmetric, nu_minus=nm, nu_plus=np_, physical=physical)
+    symmetric, nm, np_, physical = _physicality(V)
+    return ValidityReport(symmetric=bool(symmetric), nu_minus=float(nm),
+                          nu_plus=float(np_), physical=bool(physical))
 
 
 def require_physical(V) -> np.ndarray:
     """Return ``V`` as an array, raising PreconditionFailed unless every
     matrix in the stack is a physical covariance matrix."""
     V = _as_covmat(V)
-    if not np.all(_is_symmetric(V)):
+    symmetric, _, _, physical = _physicality(V)
+    if not np.all(symmetric):
         raise PreconditionFailed("covariance matrix is not symmetric")
-    nm, _ = _sym_eigs(V)
-    if not np.all(np.isfinite(nm) & (nm >= 0.5 - PHYSICALITY_TOL)):
+    if not np.all(physical):
         raise PreconditionFailed(
             "covariance matrix violates the uncertainty bound nu_minus >= 1/2"
         )
@@ -194,8 +205,13 @@ def simon_inseparable(V) -> EntanglementVerdict:
     V = require_physical(V)
     if V.ndim != 2:
         raise InvalidInput("simon_inseparable expects a single 4x4 matrix")
+    return _verdict(V, ppt_nu_minus(V))
+
+
+def _verdict(V: np.ndarray, ppt_nu: float) -> EntanglementVerdict:
+    """Both tests on one physical state whose PPT eigenvalue is known."""
     lhs = float(simon_lhs(V))
-    nm = float(ppt_nu_minus(V))
+    nm = float(ppt_nu)
     return EntanglementVerdict(
         simon_lhs=lhs,
         simon_entangled=lhs > 1.0,
@@ -253,8 +269,7 @@ def _mode_reduction(M: np.ndarray) -> np.ndarray:
     diagonalises M, followed by a pure squeezer.  A diagonal M therefore
     reduces with no rotation at all, and the identity maps to itself.
     """
-    alpha = math.sqrt(_det2(M))
-    N = M / alpha
+    N = M / np.sqrt(_det2(M))
     theta = 0.5 * math.atan2(2.0 * N[0, 1], N[0, 0] - N[1, 1])
     if theta > math.pi / 4:
         theta -= math.pi / 2
@@ -262,13 +277,14 @@ def _mode_reduction(M: np.ndarray) -> np.ndarray:
         theta += math.pi / 2
     R = _rot(theta)
     D = R.T @ N @ R
-    return np.diag([1.0 / math.sqrt(D[0, 0]), 1.0 / math.sqrt(D[1, 1])]) @ R.T
+    return np.diag(1.0 / np.sqrt(np.diag(D))) @ R.T
 
 
 # rotation by pi/2; conjugating diag(d1, d2) with it gives diag(d2, d1)
 _SWAP = np.array([[0.0, -1.0], [1.0, 0.0]])
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def to_canonical(V) -> tuple[CanonicalParams, np.ndarray]:
     """Reduce a physical state to standard form by local symplectics.
 
@@ -286,9 +302,13 @@ def to_canonical(V) -> tuple[CanonicalParams, np.ndarray]:
     A, B, C = blocks(V)
     Sa = _mode_reduction(A)
     Sb = _mode_reduction(B)
-    eta = math.sqrt(_det2(A))
-    zeta = math.sqrt(_det2(B))
+    eta = float(np.sqrt(_det2(A)))
+    zeta = float(np.sqrt(_det2(B)))
     C1 = Sa @ C @ Sb.T
+    # entries near the float range overflow the block determinants; every
+    # such failure propagates into these three values
+    if not (math.isfinite(eta) and math.isfinite(zeta) and np.all(np.isfinite(C1))):
+        raise NumericalDomainError("covariance entries too large for the standard-form reduction")
 
     scale = max(1.0, float(np.max(np.abs(C1))))
     if max(abs(C1[0, 1]), abs(C1[1, 0])) <= 1e-12 * scale:
@@ -329,6 +349,46 @@ def fmt17(x) -> str:
     """Float as a JSON token at 17 significant digits; non-finite becomes null."""
     x = float(x)
     return format(x, ".17g") if math.isfinite(x) else "null"
+
+
+def json_bool(v) -> str:
+    """Boolean as a JSON token."""
+    return "true" if v else "false"
+
+
+def json_token(v) -> str:
+    """One JSON value: null, true/false, a quoted string, an integer, a float
+    through fmt17, or a dict as a nested one-line record.  Strings are
+    identifiers and labels, quoted without escaping."""
+    if v is None:
+        return "null"
+    if isinstance(v, (bool, np.bool_)):
+        return json_bool(v)
+    if isinstance(v, str):
+        return f'"{v}"'
+    if isinstance(v, int):
+        return str(v)
+    if isinstance(v, dict):
+        return record_json(v)
+    return fmt17(v)
+
+
+def _csv_token(v) -> str:
+    if isinstance(v, (bool, np.bool_)):
+        return "1" if v else "0"
+    if isinstance(v, (str, int)):
+        return str(v)
+    return fmt17(v)
+
+
+def record_json(fields: dict) -> str:
+    """A field dict as a one-line JSON object, keys in dict order."""
+    return "{" + ", ".join(f'"{k}": {json_token(v)}' for k, v in fields.items()) + "}"
+
+
+def record_csv(fields: dict) -> str:
+    """A field dict as a CSV header line and one row (booleans as 0/1)."""
+    return ",".join(fields) + "\n" + ",".join(_csv_token(v) for v in fields.values())
 
 
 def covmat_to_json(V) -> str:

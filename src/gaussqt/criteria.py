@@ -15,6 +15,12 @@ iff det M < 4, and the EPR uncertainty Delta = <d^2(x_a - x_b)> +
 All comparisons against the boundaries 2 and 4 are strict with no
 tolerance band; raw values are always reported so consumers can apply
 their own thresholds.
+
+``_evaluate`` is the one evaluation path: it turns a stack of physical
+covariance matrices into the column arrays of ``Columns`` and is the only
+place the label precedence is written.  ``classify`` (one state or a
+stack), ``sweep.run_sweep`` (one call per chunk) and the CLI's ``analyze``
+are views over it.
 """
 
 from __future__ import annotations
@@ -22,11 +28,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
 from . import core
-from .core import CanonicalParams, PHYSICALITY_TOL
+from .core import PHYSICALITY_TOL
 from .errors import NumericalDomainError
 
 __all__ = [
@@ -37,11 +44,8 @@ __all__ = [
     "m_matrix",
     "fidelity",
     "detm_values",
-    "detm_canonical",
     "detm_epsilon_values",
-    "detm_epsilon_form",
     "qt_epr_values",
-    "qt_epr_bound",
     "classify",
     "report_to_json",
 ]
@@ -66,6 +70,18 @@ def _m_raw(V: np.ndarray) -> np.ndarray:
     return A - (C @ SZ + SZ @ Ct) + SZ @ B @ SZ + _I2
 
 
+def _det_m(V: np.ndarray) -> np.ndarray:
+    return core._det2(_m_raw(V))
+
+
+def _f_epr(delta: np.ndarray) -> np.ndarray:
+    return np.maximum(0.0, 2.0 - delta)
+
+
+def _fidelity(det_m: np.ndarray) -> np.ndarray:
+    return 1.0 / np.sqrt(det_m)
+
+
 def _scalar_or_array(out: np.ndarray):
     return float(out) if out.ndim == 0 else out
 
@@ -83,7 +99,7 @@ def epr_uncertainty(V):
 def epr_degree(V):
     """Degree of EPR correlation, max(0, 2 - Delta)."""
     V = core.require_physical(V)
-    return _scalar_or_array(np.maximum(0.0, 2.0 - _delta_raw(V)))
+    return _scalar_or_array(_f_epr(_delta_raw(V)))
 
 
 def m_matrix(V):
@@ -99,10 +115,10 @@ def fidelity(V):
     (M >= I); if it does the call fails loudly.
     """
     V = core.require_physical(V)
-    detm = core._det2(_m_raw(V))
+    detm = _det_m(V)
     if np.any(detm <= 0.0):
         raise NumericalDomainError("det M <= 0 on physical input; internal inconsistency")
-    return _scalar_or_array(1.0 / np.sqrt(detm))
+    return _scalar_or_array(_fidelity(detm))
 
 
 def detm_values(eta, zeta, c1, c2):
@@ -118,11 +134,6 @@ def detm_values(eta, zeta, c1, c2):
     return _scalar_or_array(1.0 + 4.0 * c1 * c2 + (u + 2.0) * (u - s) - u * s)
 
 
-def detm_canonical(p: CanonicalParams) -> float:
-    """det M evaluated from CanonicalParams via the closed form above."""
-    return float(detm_values(p.eta, p.zeta, p.c1, p.c2))
-
-
 def detm_epsilon_values(eta, zeta, c1, c2):
     """det M in the form 4 - eps(4 - eps) - (c1 - c2)^2 with
     eps = 1 - ((eta + zeta) - (c1 + c2)).
@@ -136,10 +147,6 @@ def detm_epsilon_values(eta, zeta, c1, c2):
     return _scalar_or_array(4.0 - eps * (4.0 - eps) - (c1 - c2) ** 2)
 
 
-def detm_epsilon_form(p: CanonicalParams) -> float:
-    return float(detm_epsilon_values(p.eta, p.zeta, p.c1, p.c2))
-
-
 def qt_epr_values(eta, zeta, c1, c2):
     """Recast teleportation bound: qt iff lhs < rhs with
     lhs = (eta + zeta) - (c1 + c2), rhs = sqrt(4 + (c1 - c2)^2) - 1.
@@ -151,11 +158,6 @@ def qt_epr_values(eta, zeta, c1, c2):
     lhs = (eta + zeta) - (c1 + c2)
     rhs = np.sqrt(4.0 + (c1 - c2) ** 2) - 1.0
     return lhs, rhs, lhs < rhs
-
-
-def qt_epr_bound(p: CanonicalParams) -> tuple[float, float, bool]:
-    lhs, rhs, qt = qt_epr_values(p.eta, p.zeta, p.c1, p.c2)
-    return float(lhs), float(rhs), bool(qt)
 
 
 @dataclass(frozen=True)
@@ -185,63 +187,100 @@ class Classification(Enum):
     EPR_CORRELATED = "EPRCorrelated"
 
 
-def classify(V) -> tuple[CriteriaReport, Classification]:
-    """Full per-state report plus a mutually exclusive region label.
+class Columns(NamedTuple):
+    """Column arrays of evaluated states, one entry per matrix in the stack."""
+
+    delta_epr: np.ndarray
+    f_epr: np.ndarray
+    det_m: np.ndarray
+    fidelity: np.ndarray
+    ppt_nu_minus: np.ndarray
+    entangled: np.ndarray
+    epr: np.ndarray
+    qt: np.ndarray
+    labels: np.ndarray
+
+
+# the first true condition names the region; entangled and not QT otherwise
+_PRECEDENCE = (
+    Classification.SEPARABLE.value,
+    Classification.EPR_CORRELATED.value,
+    Classification.QT_NO_EPR.value,
+)
+
+
+def _evaluate(V: np.ndarray) -> Columns:
+    """Columns of a (..., 4, 4) stack already known to be physical."""
+    delta = _delta_raw(V)
+    det_m = _det_m(V)
+    nu = np.asarray(core.ppt_nu_minus(V))
+    entangled = nu < 0.5 - PHYSICALITY_TOL
+    epr = delta < 2.0
+    qt = det_m < 4.0
+    labels = np.select(
+        [~entangled, epr, qt], _PRECEDENCE, Classification.ENTANGLED_NO_QT.value
+    )
+    return Columns(delta, _f_epr(delta), det_m, _fidelity(det_m), nu, entangled, epr, qt,
+                   labels)
+
+
+def _report(cols: Columns) -> tuple[CriteriaReport, Classification]:
+    """Report and label of one evaluated matrix, as Python scalars."""
+    report = CriteriaReport(
+        delta_epr=float(cols.delta_epr),
+        f_epr=float(cols.f_epr),
+        det_m=float(cols.det_m),
+        fidelity=float(cols.fidelity),
+        entangled=bool(cols.entangled),
+        epr_correlated=bool(cols.epr),
+        qt=bool(cols.qt),
+    )
+    return report, Classification(str(cols.labels))
+
+
+_UNPHYSICAL_ROW = Columns(math.nan, math.nan, math.nan, math.nan, math.nan,
+                          False, False, False, Classification.UNPHYSICAL.value)
+
+
+def classify(V):
+    """Full report plus a mutually exclusive region label.
 
     Precedence: Unphysical; else Separable if not entangled (PPT); else
     EPRCorrelated if Delta < 2; else QTNoEPR if det M < 4; else
     EntangledNoQT.  The entangled flag is the PPT verdict; the
     determinant-form verdict is available via simon_inseparable.
-    Malformed input is folded into Unphysical rather than raised.
+
+    One 4x4 matrix gives a report of Python scalars and a Classification.
+    A (..., 4, 4) stack gives a report whose fields are arrays of shape
+    ``V.shape[:-2]`` and an array of label strings (``Classification``
+    values); rows that are asymmetric, non-finite or below the uncertainty
+    bound read nan, False and "Unphysical".  Malformed input is folded into
+    a single Unphysical report rather than raised.
     """
     try:
         V = np.asarray(V, dtype=float)
-        report_ok = V.shape == (4, 4) and core.validate(V).physical
     except (ValueError, TypeError):
-        report_ok = False
-    if not report_ok:
-        nan = math.nan
-        return (
-            CriteriaReport(nan, nan, nan, nan, False, False, False),
-            Classification.UNPHYSICAL,
-        )
+        return _report(_UNPHYSICAL_ROW)
+    if V.ndim < 2 or V.shape[-2:] != (4, 4):
+        return _report(_UNPHYSICAL_ROW)
 
-    delta = float(_delta_raw(V))
-    detm = float(core._det2(_m_raw(V)))
-    report = CriteriaReport(
-        delta_epr=delta,
-        f_epr=max(0.0, 2.0 - delta),
-        det_m=detm,
-        fidelity=1.0 / math.sqrt(detm),
-        entangled=bool(core.ppt_nu_minus(V) < 0.5 - PHYSICALITY_TOL),
-        epr_correlated=delta < 2.0,
-        qt=detm < 4.0,
-    )
-    if not report.entangled:
-        label = Classification.SEPARABLE
-    elif report.epr_correlated:
-        label = Classification.EPR_CORRELATED
-    elif report.qt:
-        label = Classification.QT_NO_EPR
-    else:
-        label = Classification.ENTANGLED_NO_QT
-    return report, label
-
-
-def _bool_token(v) -> str:
-    return "true" if v else "false"
+    flat = V.reshape(-1, 4, 4)
+    physical = np.all(np.isfinite(flat), axis=(1, 2))
+    physical[physical] = core._physicality(flat[physical])[3]
+    cols = _evaluate(flat[physical])
+    full = []
+    for col, fill in zip(cols, _UNPHYSICAL_ROW):
+        out = np.full(physical.shape, fill, dtype=col.dtype)
+        out[physical] = col
+        full.append(out.reshape(V.shape[:-2]))
+    cols = Columns(*full)
+    if V.ndim == 2:
+        return _report(cols)
+    report = CriteriaReport(cols.delta_epr, cols.f_epr, cols.det_m, cols.fidelity,
+                            cols.entangled, cols.epr, cols.qt)
+    return report, cols.labels
 
 
 def report_to_json(report: CriteriaReport) -> str:
     """Serialise a report with numbers at 17 significant digits."""
-    return (
-        "{"
-        f'"delta_epr": {core.fmt17(report.delta_epr)}, '
-        f'"f_epr": {core.fmt17(report.f_epr)}, '
-        f'"det_m": {core.fmt17(report.det_m)}, '
-        f'"fidelity": {core.fmt17(report.fidelity)}, '
-        f'"entangled": {_bool_token(report.entangled)}, '
-        f'"epr_correlated": {_bool_token(report.epr_correlated)}, '
-        f'"qt": {_bool_token(report.qt)}'
-        "}"
-    )
+    return core.record_json(vars(report))

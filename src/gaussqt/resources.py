@@ -55,6 +55,14 @@ def _check_r(r) -> np.ndarray:
     return r
 
 
+def _require_finite(x: np.ndarray, names: str, what: str) -> np.ndarray:
+    # the callers run under np.errstate(over="ignore", invalid="ignore"), so
+    # an overflow surfaces here as one named error instead of numpy warnings
+    if not np.all(np.isfinite(x)):
+        raise InvalidInput(f"{names} too large: {what} overflows")
+    return x
+
+
 @dataclass(frozen=True)
 class TmstSpec:
     """Two-mode squeezed thermal state parameters (r >= 0, k1, k2 >= 1/2)."""
@@ -94,6 +102,7 @@ class BsSpec:
         return self.r > 0.5 * math.log(2.0 * self.k)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def tmst_covmat(r, k1, k2) -> np.ndarray:
     """TMST covariance matrix; array arguments broadcast to a stack."""
     r = _check_r(r)
@@ -114,7 +123,7 @@ def tmst_covmat(r, k1, k2) -> np.ndarray:
     V[..., 2, 0] = c
     V[..., 1, 3] = -c
     V[..., 3, 1] = -c
-    return V
+    return _require_finite(V, "r, k1 or k2", "the covariance matrix")
 
 
 def tmst(spec: TmstSpec) -> np.ndarray:
@@ -127,6 +136,7 @@ def tmst(spec: TmstSpec) -> np.ndarray:
     return tmst_covmat(spec.r, spec.k1, spec.k2)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def single_mode_sth(r, k) -> np.ndarray:
     """Squeezed thermal mode sigma = diag(k e^{-2r}, k e^{2r}).
 
@@ -139,9 +149,10 @@ def single_mode_sth(r, k) -> np.ndarray:
     sig = np.zeros(np.shape(r) + (2, 2))
     sig[..., 0, 0] = k * np.exp(-2.0 * r)
     sig[..., 1, 1] = k * np.exp(2.0 * r)
-    return sig
+    return _require_finite(sig, "r or k", "the squeezed thermal mode")
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def bs_covmat(r, k, T) -> np.ndarray:
     """Beam-splitter output covariance; array arguments broadcast.
 
@@ -172,7 +183,8 @@ def bs_covmat(r, k, T) -> np.ndarray:
     out = S @ Vin @ np.swapaxes(S, -1, -2)
     # matmul accumulates (i,j) and (j,i) in different orders; average the
     # ulp-level residue away so downstream symmetry checks are exact
-    return 0.5 * (out + np.swapaxes(out, -1, -2))
+    out = 0.5 * (out + np.swapaxes(out, -1, -2))
+    return _require_finite(out, "r or k", "the covariance matrix")
 
 
 def bs_resource(spec: BsSpec) -> np.ndarray:
@@ -184,6 +196,7 @@ def bs_resource(spec: BsSpec) -> np.ndarray:
     return bs_covmat(spec.r, spec.k, spec.T)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def r_ent_threshold(k1, k2):
     """Squeeze parameter at which the TMST becomes entangled:
 
@@ -192,10 +205,11 @@ def r_ent_threshold(k1, k2):
     k1 = _check_k(k1, "k1")
     k2 = _check_k(k2, "k2")
     num = 1.0 + 4.0 * k1 * k2 + np.sqrt((4.0 * k1 * k1 - 1.0) * (4.0 * k2 * k2 - 1.0))
-    out = 0.5 * np.log(num / (2.0 * (k1 + k2)))
+    out = _require_finite(0.5 * np.log(num / (2.0 * (k1 + k2))), "k1 or k2", "r_ent")
     return float(out) if out.ndim == 0 else out
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def r_qt_threshold(k1, k2):
     """Squeeze parameter at which the TMST becomes EPR correlated and
     teleportation capable (the two coincide since c1 = c2):
@@ -206,7 +220,7 @@ def r_qt_threshold(k1, k2):
     """
     k1 = _check_k(k1, "k1")
     k2 = _check_k(k2, "k2")
-    out = 0.5 * np.log(k1 + k2)
+    out = _require_finite(0.5 * np.log(k1 + k2), "k1 or k2", "r_qt")
     return float(out) if out.ndim == 0 else out
 
 

@@ -19,9 +19,7 @@ from .resources import tmst_covmat
 
 __all__ = [
     "random_local_symplectics",
-    "random_physical_covmat",
     "random_physical_covmats",
-    "random_separable_covmat",
     "random_separable_covmats",
 ]
 
@@ -65,10 +63,6 @@ def random_physical_covmats(rng: np.random.Generator, n: int) -> np.ndarray:
     return 0.5 * (out + np.swapaxes(out, -1, -2))
 
 
-def random_physical_covmat(rng: np.random.Generator) -> np.ndarray:
-    return random_physical_covmats(rng, 1)[0]
-
-
 def random_separable_covmats(rng: np.random.Generator, n: int) -> np.ndarray:
     """(n, 4, 4) stack of random separable products of single-mode
     rotated/squeezed thermal states."""
@@ -82,7 +76,3 @@ def random_separable_covmats(rng: np.random.Generator, n: int) -> np.ndarray:
     V[:, :2, :2] = 0.5 * (Va + np.swapaxes(Va, -1, -2))
     V[:, 2:, 2:] = 0.5 * (Vb + np.swapaxes(Vb, -1, -2))
     return V
-
-
-def random_separable_covmat(rng: np.random.Generator) -> np.ndarray:
-    return random_separable_covmats(rng, 1)[0]

@@ -2,7 +2,10 @@
 
 A sweep fixes the squeeze parameter of a resource family and scans two
 axes (tmst: k1, k2; bs: k, T), evaluating the EPR uncertainty, det M,
-fidelity and the three verdict flags at every grid point.  Rows are
+fidelity and the three verdict flags at every grid point through
+``criteria._evaluate``, the package's one evaluation path, called once
+per chunk of rows.  The family constructors build physical states only,
+so rows get no separate physicality check.  Rows are
 ordered with axis2 varying fastest and serialise to CSV (header
 axis1,axis2,delta_epr,f_epr,det_m,fidelity,entangled,epr,qt,class,
 booleans as 0/1) or JSON (booleans true/false).  Identical configurations
@@ -17,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import core, criteria, resources
-from .core import PHYSICALITY_TOL, fmt17
+from .core import fmt17, json_bool
 from .errors import GridSizeError, InvalidInput
 
 __all__ = [
@@ -35,6 +38,9 @@ _FAMILY_AXES = {"tmst": ("k1", "k2"), "bs": ("k", "T")}
 _CSV_HEADER = "axis1,axis2,delta_epr,f_epr,det_m,fidelity,entangled,epr,qt,class"
 
 _CHUNK = 1 << 17
+
+# the kernel's columns a RegionGrid keeps, in its field order
+_GRID_COLUMNS = ("delta_epr", "f_epr", "det_m", "fidelity", "entangled", "epr", "qt", "labels")
 
 
 @dataclass(frozen=True)
@@ -62,7 +68,6 @@ class SweepConfig:
     fixed: dict
     axis1: AxisSpec
     axis2: AxisSpec
-    output_path: str | None = None
     format: str = "csv"
 
     def __post_init__(self):
@@ -133,15 +138,13 @@ class RegionGrid:
 
     def to_json(self) -> str:
         cfg = self.config
-        head = (
-            '{\n  "config": {'
-            f'"family": "{cfg.family}", '
-            f'"fixed": {{"r": {fmt17(cfg.fixed["r"])}}}, '
-            f'"axis1": {_axis_json(cfg.axis1)}, '
-            f'"axis2": {_axis_json(cfg.axis2)}'
-            "},\n"
-            '  "rows": [\n'
-        )
+        config = core.record_json({
+            "family": cfg.family,
+            "fixed": {"r": float(cfg.fixed["r"])},
+            **{key: {"name": a.name, "min": float(a.lo), "max": float(a.hi), "steps": a.steps}
+               for key, a in (("axis1", cfg.axis1), ("axis2", cfg.axis2))},
+        })
+        head = '{\n  "config": ' + config + ',\n  "rows": [\n'
         rows = []
         for i in range(self.n_rows):
             rows.append(
@@ -152,33 +155,21 @@ class RegionGrid:
                 f'"f_epr": {fmt17(self.f_epr[i])}, '
                 f'"det_m": {fmt17(self.det_m[i])}, '
                 f'"fidelity": {fmt17(self.fidelity[i])}, '
-                f'"entangled": {criteria._bool_token(self.entangled[i])}, '
-                f'"epr": {criteria._bool_token(self.epr[i])}, '
-                f'"qt": {criteria._bool_token(self.qt[i])}, '
+                f'"entangled": {json_bool(self.entangled[i])}, '
+                f'"epr": {json_bool(self.epr[i])}, '
+                f'"qt": {json_bool(self.qt[i])}, '
                 f'"class": "{self.labels[i]}"'
                 "}"
             )
         return head + ",\n".join(rows) + "\n  ]\n}\n"
 
-    def to_text(self, fmt: str | None = None) -> str:
-        fmt = self.config.format if fmt is None else fmt
-        if fmt == "csv":
-            return self.to_csv()
-        if fmt == "json":
-            return self.to_json()
-        raise InvalidInput('format must be "csv" or "json"')
+    def to_text(self) -> str:
+        return self.to_csv() if self.config.format == "csv" else self.to_json()
 
-    def write(self, path, fmt: str | None = None) -> None:
-        text = self.to_text(fmt)
+    def write(self, path) -> None:
+        text = self.to_text()
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
-
-
-def _axis_json(a: AxisSpec) -> str:
-    return (
-        f'{{"name": "{a.name}", "min": {fmt17(a.lo)}, '
-        f'"max": {fmt17(a.hi)}, "steps": {a.steps}}}'
-    )
 
 
 def run_sweep(config: SweepConfig) -> RegionGrid:
@@ -191,50 +182,13 @@ def run_sweep(config: SweepConfig) -> RegionGrid:
     a2 = X2.ravel()
     n = a1.size
     r = float(config.fixed["r"])
-
-    delta = np.empty(n)
-    detm = np.empty(n)
-    fid = np.empty(n)
-    ent = np.empty(n, dtype=bool)
+    build = resources.tmst_covmat if config.family == "tmst" else resources.bs_covmat
 
     for lo in range(0, n, _CHUNK):
         hi = min(lo + _CHUNK, n)
-        if config.family == "tmst":
-            V = resources.tmst_covmat(r, a1[lo:hi], a2[lo:hi])
-        else:
-            V = resources.bs_covmat(r, a1[lo:hi], a2[lo:hi])
-        delta[lo:hi] = criteria._delta_raw(V)
-        d = core._det2(criteria._m_raw(V))
-        detm[lo:hi] = d
-        fid[lo:hi] = 1.0 / np.sqrt(d)
-        ent[lo:hi] = core.ppt_nu_minus(V) < 0.5 - PHYSICALITY_TOL
-
-    f_epr = np.maximum(0.0, 2.0 - delta)
-    epr = delta < 2.0
-    qt = detm < 4.0
-    labels = np.where(
-        ~ent,
-        criteria.Classification.SEPARABLE.value,
-        np.where(
-            epr,
-            criteria.Classification.EPR_CORRELATED.value,
-            np.where(
-                qt,
-                criteria.Classification.QT_NO_EPR.value,
-                criteria.Classification.ENTANGLED_NO_QT.value,
-            ),
-        ),
-    )
-    return RegionGrid(
-        config=config,
-        axis1=a1,
-        axis2=a2,
-        delta_epr=delta,
-        f_epr=f_epr,
-        det_m=detm,
-        fidelity=fid,
-        entangled=ent,
-        epr=epr,
-        qt=qt,
-        labels=labels,
-    )
+        cols = criteria._evaluate(build(r, a1[lo:hi], a2[lo:hi]))
+        if lo == 0:
+            out = {name: np.empty(n, getattr(cols, name).dtype) for name in _GRID_COLUMNS}
+        for name, column in out.items():
+            column[lo:hi] = getattr(cols, name)
+    return RegionGrid(config=config, axis1=a1, axis2=a2, **out)

@@ -1,11 +1,18 @@
 """Command-line interface: subcommands, formats, and exit codes."""
 
+import contextlib
+import io
 import json
+import math
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gaussqt.cli as cli
 import gaussqt.core as core
@@ -91,6 +98,18 @@ def test_analyze_out_file(tmp_path, capsys):
     code, out, _ = run(capsys, "analyze", str(src), "--out", str(dst))
     assert code == cli.EXIT_OK
     assert json.loads(dst.read_text())["classification"] == "Separable"
+
+
+@pytest.mark.parametrize("fmt, budget", [("json", 3), ("csv", 2)])
+def test_analyze_spectrum_budget(tmp_path, capsys, monkeypatch, rng, fmt, budget):
+    path = tmp_path / "state.json"
+    core.save_covmat(sampling.random_physical_covmats(rng, 1)[0], path)
+    calls = []
+    real = core._sym_eigs
+    monkeypatch.setattr(core, "_sym_eigs", lambda V: calls.append(1) or real(V))
+    code, _, _ = run(capsys, "analyze", str(path), "--format", fmt)
+    assert code == cli.EXIT_OK
+    assert len(calls) <= budget
 
 
 # ------------------------------------------------------------------ state
@@ -323,3 +342,76 @@ def test_analyze_random_states_consistent(tmp_path, capsys, rng):
         assert rep["qt"] == (rep["det_m"] < 4.0)
         assert rep["epr_correlated"] == (rep["delta_epr"] < 2.0)
         assert doc["validity"]["physical"] is True
+
+
+# ------------------------------------------------------- edges of the domain
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["state", "tmst", "--r", "400", "--k1", "1", "--k2", "1"], "r"),
+    (["sweep", "tmst", "--r", "400", "--k1", "0.5:1:3", "--k2", "0.5:1:3"], "r"),
+    (["sweep", "bs", "--r", "0.5", "--k", "0.5:1e308:3", "--T", "0.1:0.9:3"], "k"),
+    (["oracle", "tmst", "--r", "0.5", "--k1", "1", "--k2", "1", "--radius", "1e308",
+      "--points", "51"], "quadrature"),
+    (["thresholds", "--k1", "1e308", "--k2", "1e308"], "k1"),
+])
+def test_domain_edges_exit_3_with_one_line(argv, named):
+    proc = subprocess.run([sys.executable, "-m", "gaussqt", *argv],
+                          capture_output=True, text=True)
+    assert proc.returncode == cli.EXIT_BAD_INPUT
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert named in lines[0]
+
+
+EDGE_FLOATS = st.one_of(
+    st.sampled_from([math.inf, -math.inf, math.nan, 1e308, -1e308, 5e-324, 0.0]),
+    st.floats(-3.0, 3.0),
+)
+
+
+@st.composite
+def cli_argv(draw):
+    """argv for any subcommand with float flags drawn from EDGE_FLOATS;
+    sweep steps and quadrature points stay fixed and small."""
+    def f() -> str:
+        return repr(draw(EDGE_FLOATS))
+
+    fmt = ["--format", draw(st.sampled_from(["json", "csv"]))]
+    family = draw(st.sampled_from(["tmst", "bs"]))
+    params = (["--r", f(), "--k1", f(), "--k2", f()] if family == "tmst"
+              else ["--r", f(), "--k", f(), "--T", f()])
+    command = draw(st.sampled_from(["analyze", "state", "sweep", "thresholds", "oracle"]))
+    if command == "analyze":
+        return ["analyze", "{matrix}", *fmt], [draw(EDGE_FLOATS) for _ in range(10)]
+    if command == "state":
+        return ["state", family, *params, *fmt], None
+    if command == "sweep":
+        axes = ["--k1", "--k2"] if family == "tmst" else ["--k", "--T"]
+        return ["sweep", family, "--r", f(), axes[0], f"{f()}:{f()}:3",
+                axes[1], f"{f()}:{f()}:3", *fmt], None
+    if command == "thresholds":
+        return ["thresholds", "--k1", f(), "--k2", f(), *fmt], None
+    return ["oracle", family, *params, "--radius", f(), "--points", "51", *fmt], None
+
+
+@given(case=cli_argv())
+@settings(max_examples=300, deadline=None)
+def test_cli_edges_exit_with_documented_codes(case):
+    argv, entries = case
+    with tempfile.TemporaryDirectory() as tmp:
+        if entries is not None:
+            # a symmetric matrix from ten drawn entries; json writes NaN/Infinity
+            iu = np.triu_indices(4)
+            M = np.zeros((4, 4))
+            M[iu] = entries
+            M = M + np.triu(M, 1).T
+            path = Path(tmp) / "m.json"
+            path.write_text(json.dumps({"convention": "xpxp-vac-half", "matrix": M.tolist()}))
+            argv = [str(path) if a == "{matrix}" else a for a in argv]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+    assert code in {0, 2, 3, 4, 5, 6}
+    assert "Traceback" not in err.getvalue()

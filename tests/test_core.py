@@ -149,7 +149,7 @@ def test_partial_transpose_involution_bulk(rng):
 
 
 def test_partial_transpose_determinant_bookkeeping(rng):
-    V = sampling.random_physical_covmat(rng)
+    V = sampling.random_physical_covmats(rng, 1)[0]
     W = core.partial_transpose(V)
     A, B, C = core.blocks(V)
     Aw, Bw, Cw = core.blocks(W)
@@ -374,7 +374,7 @@ def test_covmat_json_rejects_malformed():
 
 
 def test_covmat_file_roundtrip(tmp_path, rng):
-    V = sampling.random_physical_covmat(rng)
+    V = sampling.random_physical_covmats(rng, 1)[0]
     path = tmp_path / "state.json"
     core.save_covmat(V, path)
     assert np.array_equal(core.load_covmat(path), V)

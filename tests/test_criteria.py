@@ -1,5 +1,6 @@
 """EPR uncertainty, teleportation matrix, fidelity, and region labels."""
 
+import dataclasses
 import json
 import math
 
@@ -157,15 +158,12 @@ def test_fidelity_rejects_unphysical():
 # --------------------------------------------- canonical determinant forms
 
 
-def test_detm_canonical_frozen():
-    assert criteria.detm_canonical(core.CanonicalParams(0.5, 0.5, 0.0, 0.0)) == 4.0
-    p = core.CanonicalParams(1.0, 0.8, 0.7, 0.5)
-    assert abs(criteria.detm_canonical(p) - 2.52) < 1e-14
+def test_detm_values_frozen():
+    assert criteria.detm_values(0.5, 0.5, 0.0, 0.0) == 4.0
+    assert abs(criteria.detm_values(1.0, 0.8, 0.7, 0.5) - 2.52) < 1e-14
     r = 0.5
-    q = core.CanonicalParams(
-        math.cosh(2 * r) / 2, math.cosh(2 * r) / 2, math.sinh(2 * r) / 2, math.sinh(2 * r) / 2
-    )
-    assert abs(criteria.detm_canonical(q) - (1.0 + math.exp(-1.0)) ** 2) < 1e-14
+    ch, sh = math.cosh(2 * r) / 2, math.sinh(2 * r) / 2
+    assert abs(criteria.detm_values(ch, ch, sh, sh) - (1.0 + math.exp(-1.0)) ** 2) < 1e-14
 
 
 def test_detm_matches_direct_determinant(rng):
@@ -178,7 +176,7 @@ def test_detm_matches_direct_determinant(rng):
         if not core.validate(V).physical:
             continue
         direct = float(np.linalg.det(criteria.m_matrix(V)))
-        assert abs(criteria.detm_canonical(p) - direct) < 1e-10
+        assert abs(criteria.detm_values(eta, zeta, c1, c2) - direct) < 1e-10
 
 
 def test_detm_epsilon_form_is_the_same_polynomial(rng):
@@ -191,9 +189,8 @@ def test_detm_epsilon_form_is_the_same_polynomial(rng):
     assert np.max(np.abs(a - b)) < 1e-10
 
 
-def test_qt_epr_bound_frozen():
-    p = core.CanonicalParams(1.0, 0.8, 0.7, 0.5)
-    lhs, rhs, qt = criteria.qt_epr_bound(p)
+def test_qt_epr_values_frozen():
+    lhs, rhs, qt = criteria.qt_epr_values(1.0, 0.8, 0.7, 0.5)
     assert abs(lhs - 0.6) < 1e-14
     assert abs(rhs - 1.0099751242241779) < 1e-14
     assert qt
@@ -205,14 +202,14 @@ def test_qt_epr_bound_rhs_is_one_for_equal_correlations(rng):
     assert np.all(rhs == 1.0)
 
 
-def test_qt_epr_bound_agrees_with_determinant(rng):
+def test_qt_epr_values_agrees_with_determinant(rng):
     Vs = sampling.random_physical_covmats(rng, 500)
     for V in Vs:
         p, _ = core.to_canonical(V)
-        detm = criteria.detm_canonical(p)
+        detm = criteria.detm_values(p.eta, p.zeta, p.c1, p.c2)
         if abs(detm - 4.0) < 1e-10:
             continue
-        _, _, qt = criteria.qt_epr_bound(p)
+        _, _, qt = criteria.qt_epr_values(p.eta, p.zeta, p.c1, p.c2)
         assert qt == (detm < 4.0)
 
 
@@ -264,6 +261,33 @@ def test_classify_asymmetric_is_unphysical():
     assert lab is criteria.Classification.UNPHYSICAL
 
 
+def test_classify_stack_matches_per_row(rng):
+    asymmetric = sampling.random_physical_covmats(rng, 6)
+    asymmetric[:, 1, 2] += 1e-3
+    nonfinite = sampling.random_physical_covmats(rng, 2)
+    nonfinite[:, 0, 0] = np.nan
+    stack = np.concatenate([
+        sampling.random_physical_covmats(rng, 30),
+        sampling.random_separable_covmats(rng, 12),
+        0.2 * sampling.random_physical_covmats(rng, 10),  # mostly below the bound
+        asymmetric,
+        nonfinite,
+    ])[rng.permutation(60)]
+    rep, labels = criteria.classify(stack)
+    assert labels.shape == (60,)
+    assert {"Unphysical", "Separable"} <= set(labels.tolist())
+    for i, V in enumerate(stack):
+        one, label = criteria.classify(V)
+        assert labels[i] == label.value
+        for f in dataclasses.fields(one):
+            got, want = getattr(rep, f.name)[i], getattr(one, f.name)
+            assert got == want or (math.isnan(got) and math.isnan(want)), (i, f.name)
+    rep2, labels2 = criteria.classify(stack.reshape(3, 20, 4, 4))
+    assert labels2.shape == (3, 20)
+    assert np.array_equal(labels2.ravel(), labels)
+    assert np.array_equal(rep2.det_m.ravel(), rep.det_m, equal_nan=True)
+
+
 def test_classify_precedence_consistency(rng):
     Vs = sampling.random_physical_covmats(rng, 2000)
     for V in Vs[::7]:
@@ -292,7 +316,7 @@ def test_report_json_frozen_string():
 
 
 def test_report_json_roundtrips_all_digits(rng):
-    rep, _ = criteria.classify(sampling.random_physical_covmat(rng))
+    rep, _ = criteria.classify(sampling.random_physical_covmats(rng, 1)[0])
     doc = json.loads(criteria.report_to_json(rep))
     assert doc["delta_epr"] == rep.delta_epr
     assert doc["fidelity"] == rep.fidelity

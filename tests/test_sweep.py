@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+import gaussqt.core as core
 import gaussqt.criteria as criteria
 import gaussqt.resources as resources
 import gaussqt.sweep as sweep
@@ -199,6 +200,16 @@ def test_json_layout():
     assert rows[0]["delta_epr"] == grid.delta_epr[0]
 
 
+def test_run_sweep_one_spectrum_per_chunk(monkeypatch):
+    calls = []
+    real = core._sym_eigs
+    monkeypatch.setattr(core, "_sym_eigs", lambda V: calls.append(len(V)) or real(V))
+    monkeypatch.setattr(sweep, "_CHUNK", 4)
+    grid = sweep.run_sweep(tiny_tmst(3, 5))
+    assert calls == [4, 4, 4, 3]
+    assert grid.n_rows == 15
+
+
 def test_sweep_is_deterministic():
     a = sweep.run_sweep(tiny_tmst()).to_csv()
     b = sweep.run_sweep(tiny_tmst()).to_csv()
@@ -212,7 +223,7 @@ def test_write_csv_file(tmp_path):
     text = path.read_text()
     assert text == grid.to_csv()
     assert text.startswith(HEADER)
-    grid.write(path, fmt="json")
+    sweep.run_sweep(tiny_tmst(fmt="json")).write(path)
     assert json.loads(path.read_text())["config"]["family"] == "tmst"
 
 
