@@ -57,6 +57,11 @@ CASES = {
                        "--k2", "0.5:2.5:3"],
     "sweep_bs_json": ["sweep", "bs", "--r", "0.5", "--k", "0.5:1.5:3",
                       "--T", "0.25:0.75:3", "--format", "json"],
+    "sweep_tmst_csv_file": ["sweep", "tmst", "--r", "0.48", "--k1", "0.5:1.5:3",
+                            "--k2", "0.5:2.5:3", "--out", "{out:grid.csv}", "--quiet"],
+    "sweep_bs_json_file": ["sweep", "bs", "--r", "0.5", "--k", "0.5:1.5:3",
+                           "--T", "0.25:0.75:3", "--format", "json", "--out", "{out:grid.json}",
+                           "--quiet"],
 }
 
 
