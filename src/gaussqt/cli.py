@@ -76,30 +76,17 @@ def _analysis_json(validity, report, label, params, verdict) -> str:
     return "{\n" + ",\n".join(f'  "{k}": {core.json_token(v)}' for k, v in fields.items()) + "\n}"
 
 
-def _analysis_csv(report, label) -> str:
-    return core.record_csv({
-        "delta_epr": report.delta_epr,
-        "f_epr": report.f_epr,
-        "det_m": report.det_m,
-        "fidelity": report.fidelity,
-        "entangled": report.entangled,
-        "epr": report.epr_correlated,
-        "qt": report.qt,
-        "class": label.value,
-    })
-
-
 def _print_analysis(V, args) -> int:
     validity = core.validate(V)
     if not validity.physical:
-        report, label = criteria.classify(V)
+        report, label = criteria._report(criteria._UNPHYSICAL_ROW)
         _emit(_analysis_json(validity, report, label, None, None), args.out)
         return EXIT_UNPHYSICAL
     cols = criteria._evaluate(V)
-    report, label = criteria._report(cols)
     if args.format == "csv":
-        _emit(_analysis_csv(report, label), args.out)
+        _emit(core.record_csv(criteria._row(cols)), args.out)
         return EXIT_OK
+    report, label = criteria._report(cols)
     params, _ = core.to_canonical(V)
     verdict = core._verdict(V, cols.ppt_nu_minus)
     _emit(_analysis_json(validity, report, label, params, verdict), args.out)
@@ -145,7 +132,7 @@ def _cmd_sweep(args) -> int:
     )
     grid = sweep.run_sweep(config)
     if not args.out:
-        sys.stdout.write(grid.to_text())
+        sys.stdout.writelines(grid._text(config.format))
         return EXIT_OK
     grid.write(args.out)
     if not args.quiet:

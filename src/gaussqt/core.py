@@ -6,8 +6,8 @@ Conventions used throughout the package:
   matrix is 4x4 with 2x2 blocks ``[[A, C], [C^T, B]]``;
 * vacuum variance 1/2, i.e. ``V_vacuum = I/2`` and ``[x, p] = i`` with
   symplectic form ``Omega = J (+) J``, ``J = [[0, 1], [-1, 0]]``;
-* a matrix is physical iff it is symmetric and its smallest symplectic
-  eigenvalue satisfies ``nu_minus >= 1/2 - 1e-10``.
+* a matrix is physical iff it is symmetric, positive definite and its
+  smallest symplectic eigenvalue satisfies ``nu_minus >= 1/2 - 1e-10``.
 
 All numeric kernels accept stacked input of shape ``(..., 4, 4)`` and
 broadcast, so bulk property checks run at numpy speed.
@@ -29,6 +29,7 @@ __all__ = [
     "SIGMA_Z",
     "VACUUM",
     "PHYSICALITY_TOL",
+    "MAX_ENTRY",
     "SYMMETRY_TOL",
     "JSON_CONVENTION",
     "ValidityReport",
@@ -45,10 +46,10 @@ __all__ = [
     "from_canonical",
     "to_canonical",
     "fmt17",
-    "json_bool",
     "json_token",
     "record_json",
     "record_csv",
+    "rows",
     "covmat_to_json",
     "covmat_from_json",
     "save_covmat",
@@ -67,13 +68,17 @@ PHYSICALITY_TOL = 1e-10
 SYMMETRY_TOL = 1e-12
 JSON_CONVENTION = "xpxp-vac-half"
 
+# det V is quartic in the entries (and LU pivots can grow 8-fold), so this
+# bound keeps every determinant, sum and spectrum the package forms finite
+MAX_ENTRY = 1e75
+
 
 def _as_covmat(V, name: str = "V") -> np.ndarray:
     V = np.asarray(V, dtype=float)
     if V.ndim < 2 or V.shape[-2:] != (4, 4):
         raise InvalidInput(f"{name} must have shape (..., 4, 4), got {V.shape}")
-    if not np.all(np.isfinite(V)):
-        raise InvalidInput(f"{name} contains non-finite entries")
+    if not np.all(np.abs(V) <= MAX_ENTRY):
+        raise InvalidInput(f"{name} entries must be finite and within ±{MAX_ENTRY:g}")
     return V
 
 
@@ -127,14 +132,17 @@ class ValidityReport:
 def _physicality(V: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """``(symmetric, nu_minus, nu_plus, physical)`` of a finite stack: the one
     statement of the physicality rule, nu_minus >= 1/2 - 1e-10 on a
-    symmetric matrix."""
+    symmetric positive definite matrix (an indefinite matrix can have every
+    symplectic eigenvalue above 1/2)."""
     symmetric = _is_symmetric(V)
+    lam = np.linalg.eigvalsh(V)
+    positive = lam[..., 0] > -PHYSICALITY_TOL * lam[..., -1]
     nm, np_ = _sym_eigs(V)
-    return symmetric, nm, np_, symmetric & np.isfinite(nm) & (nm >= 0.5 - PHYSICALITY_TOL)
+    return symmetric, nm, np_, symmetric & positive & (nm >= 0.5 - PHYSICALITY_TOL)
 
 
 def validate(V) -> ValidityReport:
-    """Check symmetry and the uncertainty bound nu_minus >= 1/2 - 1e-10."""
+    """Check symmetry, positivity and the uncertainty bound nu_minus >= 1/2 - 1e-10."""
     V = _as_covmat(V)
     if V.ndim != 2:
         raise InvalidInput("validate expects a single 4x4 matrix")
@@ -152,7 +160,7 @@ def require_physical(V) -> np.ndarray:
         raise PreconditionFailed("covariance matrix is not symmetric")
     if not np.all(physical):
         raise PreconditionFailed(
-            "covariance matrix violates the uncertainty bound nu_minus >= 1/2"
+            "covariance matrix violates the uncertainty bound V > 0, nu_minus >= 1/2"
         )
     return V
 
@@ -351,44 +359,55 @@ def fmt17(x) -> str:
     return format(x, ".17g") if math.isfinite(x) else "null"
 
 
-def json_bool(v) -> str:
-    """Boolean as a JSON token."""
-    return "true" if v else "false"
+_BOOLS = {"csv": {False: "0", True: "1"}, "json": {False: "false", True: "true"}}
+
+
+def _token_rule(v, fmt: str):
+    """The function writing values like ``v`` as tokens, the one statement of
+    the token rules: floats via fmt17, booleans 0/1 or true/false, strings
+    (labels, identifiers) bare or quoted unescaped, None and dicts JSON only."""
+    if v is None:
+        return lambda _: "null"
+    if isinstance(v, (bool, np.bool_)):
+        return _BOOLS[fmt].__getitem__
+    if isinstance(v, str):
+        return str if fmt == "csv" else '"{}"'.format
+    if isinstance(v, int):
+        return str
+    if isinstance(v, dict):
+        return record_json
+    return fmt17
+
+
+def _template(names, fmt: str) -> str:
+    """One %s per field: comma-separated values, or a one-line JSON object."""
+    if fmt == "csv":
+        return ",".join(["%s"] * len(names))
+    return "{" + ", ".join(f'"{k}": %s' for k in names) + "}"
 
 
 def json_token(v) -> str:
-    """One JSON value: null, true/false, a quoted string, an integer, a float
-    through fmt17, or a dict as a nested one-line record.  Strings are
-    identifiers and labels, quoted without escaping."""
-    if v is None:
-        return "null"
-    if isinstance(v, (bool, np.bool_)):
-        return json_bool(v)
-    if isinstance(v, str):
-        return f'"{v}"'
-    if isinstance(v, int):
-        return str(v)
-    if isinstance(v, dict):
-        return record_json(v)
-    return fmt17(v)
+    """One value as a JSON token (see ``_token_rule``)."""
+    return _token_rule(v, "json")(v)
 
 
-def _csv_token(v) -> str:
-    if isinstance(v, (bool, np.bool_)):
-        return "1" if v else "0"
-    if isinstance(v, (str, int)):
-        return str(v)
-    return fmt17(v)
+def rows(columns: dict, fmt: str) -> list[str]:
+    """Text rows of equal-length, non-empty 1-D columns, keys in dict order:
+    CSV values or one-line JSON objects.  Each column is formatted once."""
+    template = _template(columns, fmt)
+    values = [column.tolist() for column in columns.values()]
+    return [template % row for row in zip(*(map(_token_rule(v[0], fmt), v) for v in values))]
 
 
 def record_json(fields: dict) -> str:
     """A field dict as a one-line JSON object, keys in dict order."""
-    return "{" + ", ".join(f'"{k}": {json_token(v)}' for k, v in fields.items()) + "}"
+    return _template(fields, "json") % tuple(map(json_token, fields.values()))
 
 
 def record_csv(fields: dict) -> str:
     """A field dict as a CSV header line and one row (booleans as 0/1)."""
-    return ",".join(fields) + "\n" + ",".join(_csv_token(v) for v in fields.values())
+    row = rows({k: np.atleast_1d(v) for k, v in fields.items()}, "csv")[0]
+    return ",".join(fields) + "\n" + row
 
 
 def covmat_to_json(V) -> str:
@@ -396,13 +415,8 @@ def covmat_to_json(V) -> str:
     V = _as_covmat(V)
     if V.ndim != 2:
         raise InvalidInput("covmat_to_json expects a single 4x4 matrix")
-    rows = [[fmt17(x) for x in row] for row in V]
-    body = ",\n    ".join("[" + ", ".join(r) + "]" for r in rows)
-    return (
-        "{\n"
-        f'  "convention": "{JSON_CONVENTION}",\n'
-        '  "matrix": [\n    ' + body + "\n  ]\n}"
-    )
+    body = ",\n    ".join("[" + ", ".join(map(fmt17, row)) + "]" for row in V.tolist())
+    return f'{{\n  "convention": "{JSON_CONVENTION}",\n  "matrix": [\n    {body}\n  ]\n}}'
 
 
 def covmat_from_json(text: str) -> np.ndarray:

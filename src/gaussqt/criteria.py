@@ -201,6 +201,17 @@ class Columns(NamedTuple):
     labels: np.ndarray
 
 
+# the per-state output row, output name -> Columns field, in output order
+_ROW_SCHEMA = {"delta_epr": "delta_epr", "f_epr": "f_epr", "det_m": "det_m",
+               "fidelity": "fidelity", "entangled": "entangled", "epr": "epr", "qt": "qt",
+               "class": "labels"}
+
+
+def _row(cols) -> dict:
+    """The output row of ``cols`` (anything with the Columns fields), by output name."""
+    return {name: getattr(cols, field) for name, field in _ROW_SCHEMA.items()}
+
+
 # the first true condition names the region; entangled and not QT otherwise
 _PRECEDENCE = (
     Classification.SEPARABLE.value,
@@ -253,9 +264,9 @@ def classify(V):
     One 4x4 matrix gives a report of Python scalars and a Classification.
     A (..., 4, 4) stack gives a report whose fields are arrays of shape
     ``V.shape[:-2]`` and an array of label strings (``Classification``
-    values); rows that are asymmetric, non-finite or below the uncertainty
-    bound read nan, False and "Unphysical".  Malformed input is folded into
-    a single Unphysical report rather than raised.
+    values); rows that are asymmetric, non-finite, beyond core.MAX_ENTRY or
+    below the uncertainty bound read nan, False and "Unphysical".  Malformed
+    input is folded into a single Unphysical report rather than raised.
     """
     try:
         V = np.asarray(V, dtype=float)
@@ -265,7 +276,7 @@ def classify(V):
         return _report(_UNPHYSICAL_ROW)
 
     flat = V.reshape(-1, 4, 4)
-    physical = np.all(np.isfinite(flat), axis=(1, 2))
+    physical = np.all(np.abs(flat) <= core.MAX_ENTRY, axis=(1, 2))
     physical[physical] = core._physicality(flat[physical])[3]
     cols = _evaluate(flat[physical])
     full = []

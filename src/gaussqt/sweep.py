@@ -5,11 +5,11 @@ axes (tmst: k1, k2; bs: k, T), evaluating the EPR uncertainty, det M,
 fidelity and the three verdict flags at every grid point through
 ``criteria._evaluate``, the package's one evaluation path, called once
 per chunk of rows.  The family constructors build physical states only,
-so rows get no separate physicality check.  Rows are
-ordered with axis2 varying fastest and serialise to CSV (header
-axis1,axis2,delta_epr,f_epr,det_m,fidelity,entangled,epr,qt,class,
-booleans as 0/1) or JSON (booleans true/false).  Identical configurations
-produce byte-identical files.
+so rows get no separate physicality check.  Rows are ordered with axis2
+varying fastest; each is axis1, axis2 and the kernel's output row
+(``criteria._ROW_SCHEMA``), written as CSV or JSON one chunk of rows at a
+time, so writing a file never holds its whole text.  Identical
+configurations produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import core, criteria, resources
-from .core import fmt17, json_bool
 from .errors import GridSizeError, InvalidInput
 
 __all__ = [
@@ -35,12 +34,8 @@ MAX_GRID_POINTS = 4_000_000
 
 _FAMILY_AXES = {"tmst": ("k1", "k2"), "bs": ("k", "T")}
 
-_CSV_HEADER = "axis1,axis2,delta_epr,f_epr,det_m,fidelity,entangled,epr,qt,class"
-
+# rows per kernel call in run_sweep and per formatted slice in RegionGrid
 _CHUNK = 1 << 17
-
-# the kernel's columns a RegionGrid keeps, in its field order
-_GRID_COLUMNS = ("delta_epr", "f_epr", "det_m", "fidelity", "entangled", "epr", "qt", "labels")
 
 
 @dataclass(frozen=True)
@@ -124,52 +119,40 @@ class RegionGrid:
     def n_rows(self) -> int:
         return self.axis1.size
 
+    def _text(self, fmt: str):
+        """The text in format ``fmt`` in pieces: the head, the rows of each
+        _CHUNK-row slice (with the row separator between slices), the tail."""
+        columns = {"axis1": self.axis1, "axis2": self.axis2, **criteria._row(self)}
+        if fmt == "csv":
+            head, sep, tail = ",".join(columns) + "\n", "\n", "\n"
+        else:
+            cfg = self.config
+            axes = {key: {"name": a.name, "min": float(a.lo), "max": float(a.hi), "steps": a.steps}
+                    for key, a in (("axis1", cfg.axis1), ("axis2", cfg.axis2))}
+            config = core.record_json({"family": cfg.family, "fixed": {"r": float(cfg.fixed["r"])},
+                                       **axes})
+            head = '{\n  "config": ' + config + ',\n  "rows": [\n    '
+            sep, tail = ",\n    ", "\n  ]\n}\n"
+        yield head
+        for lo in range(0, self.n_rows, _CHUNK):
+            if lo:
+                yield sep
+            chunk = {name: column[lo:lo + _CHUNK] for name, column in columns.items()}
+            yield sep.join(core.rows(chunk, fmt))
+        yield tail
+
     def to_csv(self) -> str:
-        lines = [_CSV_HEADER]
-        for i in range(self.n_rows):
-            lines.append(
-                f"{fmt17(self.axis1[i])},{fmt17(self.axis2[i])},"
-                f"{fmt17(self.delta_epr[i])},{fmt17(self.f_epr[i])},"
-                f"{fmt17(self.det_m[i])},{fmt17(self.fidelity[i])},"
-                f"{int(self.entangled[i])},{int(self.epr[i])},{int(self.qt[i])},"
-                f"{self.labels[i]}"
-            )
-        return "\n".join(lines) + "\n"
+        return "".join(self._text("csv"))
 
     def to_json(self) -> str:
-        cfg = self.config
-        config = core.record_json({
-            "family": cfg.family,
-            "fixed": {"r": float(cfg.fixed["r"])},
-            **{key: {"name": a.name, "min": float(a.lo), "max": float(a.hi), "steps": a.steps}
-               for key, a in (("axis1", cfg.axis1), ("axis2", cfg.axis2))},
-        })
-        head = '{\n  "config": ' + config + ',\n  "rows": [\n'
-        rows = []
-        for i in range(self.n_rows):
-            rows.append(
-                "    {"
-                f'"axis1": {fmt17(self.axis1[i])}, '
-                f'"axis2": {fmt17(self.axis2[i])}, '
-                f'"delta_epr": {fmt17(self.delta_epr[i])}, '
-                f'"f_epr": {fmt17(self.f_epr[i])}, '
-                f'"det_m": {fmt17(self.det_m[i])}, '
-                f'"fidelity": {fmt17(self.fidelity[i])}, '
-                f'"entangled": {json_bool(self.entangled[i])}, '
-                f'"epr": {json_bool(self.epr[i])}, '
-                f'"qt": {json_bool(self.qt[i])}, '
-                f'"class": "{self.labels[i]}"'
-                "}"
-            )
-        return head + ",\n".join(rows) + "\n  ]\n}\n"
+        return "".join(self._text("json"))
 
     def to_text(self) -> str:
-        return self.to_csv() if self.config.format == "csv" else self.to_json()
+        return "".join(self._text(self.config.format))
 
     def write(self, path) -> None:
-        text = self.to_text()
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            fh.writelines(self._text(self.config.format))
 
 
 def run_sweep(config: SweepConfig) -> RegionGrid:
@@ -188,7 +171,8 @@ def run_sweep(config: SweepConfig) -> RegionGrid:
         hi = min(lo + _CHUNK, n)
         cols = criteria._evaluate(build(r, a1[lo:hi], a2[lo:hi]))
         if lo == 0:
-            out = {name: np.empty(n, getattr(cols, name).dtype) for name in _GRID_COLUMNS}
+            out = {name: np.empty(n, getattr(cols, name).dtype)
+                   for name in criteria._ROW_SCHEMA.values()}
         for name, column in out.items():
             column[lo:hi] = getattr(cols, name)
     return RegionGrid(config=config, axis1=a1, axis2=a2, **out)

@@ -100,15 +100,18 @@ def test_analyze_out_file(tmp_path, capsys):
     assert json.loads(dst.read_text())["classification"] == "Separable"
 
 
-@pytest.mark.parametrize("fmt, budget", [("json", 3), ("csv", 2)])
-def test_analyze_spectrum_budget(tmp_path, capsys, monkeypatch, rng, fmt, budget):
+@pytest.mark.parametrize("fmt, budget, physical", [
+    ("json", 3, True), ("csv", 2, True), ("json", 1, False),
+], ids=["json-3", "csv-2", "unphysical-json-1"])
+def test_analyze_spectrum_budget(tmp_path, capsys, monkeypatch, rng, fmt, budget, physical):
     path = tmp_path / "state.json"
-    core.save_covmat(sampling.random_physical_covmats(rng, 1)[0], path)
+    V = sampling.random_physical_covmats(rng, 1)[0] if physical else 0.4 * np.eye(4)
+    core.save_covmat(V, path)
     calls = []
     real = core._sym_eigs
     monkeypatch.setattr(core, "_sym_eigs", lambda V: calls.append(1) or real(V))
     code, _, _ = run(capsys, "analyze", str(path), "--format", fmt)
-    assert code == cli.EXIT_OK
+    assert code == (cli.EXIT_OK if physical else cli.EXIT_UNPHYSICAL)
     assert len(calls) <= budget
 
 
@@ -354,8 +357,15 @@ def test_analyze_random_states_consistent(tmp_path, capsys, rng):
     (["oracle", "tmst", "--r", "0.5", "--k1", "1", "--k2", "1", "--radius", "1e308",
       "--points", "51"], "quadrature"),
     (["thresholds", "--k1", "1e308", "--k2", "1e308"], "k1"),
+    # physical, but its EPR sum and det M overflow
+    (["analyze", "{near_float_range}"], "entries"),
+    (["analyze", "{near_float_range}", "--format", "csv"], "entries"),
 ])
-def test_domain_edges_exit_3_with_one_line(argv, named):
+def test_domain_edges_exit_3_with_one_line(argv, named, tmp_path):
+    path = tmp_path / "near_float_range.json"
+    path.write_text(json.dumps({"convention": "xpxp-vac-half",
+                                "matrix": np.diag([1e308, 1e308, 1.0, 1.0]).tolist()}))
+    argv = [str(path) if a == "{near_float_range}" else a for a in argv]
     proc = subprocess.run([sys.executable, "-m", "gaussqt", *argv],
                           capture_output=True, text=True)
     assert proc.returncode == cli.EXIT_BAD_INPUT

@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import gaussqt.cli as cli
+import gaussqt.sweep as sweep
 
 GOLDEN = Path(__file__).with_name("golden_cli.json")
 
@@ -96,6 +97,18 @@ def run_case(argv: list[str], workdir: Path) -> dict:
 def test_cli_bytes_match_golden(name, tmp_path):
     expected = json.loads(GOLDEN.read_text(encoding="utf-8"))[name]
     assert run_case(CASES[name], tmp_path) == expected
+
+
+@pytest.mark.parametrize("chunk", [1, 4])
+def test_sweep_bytes_do_not_depend_on_chunk_size(chunk, tmp_path, monkeypatch):
+    # 9-row grids: chunks of 1 and 4 rows meet inside the rows, so the row
+    # separator between chunks is pinned too
+    monkeypatch.setattr(sweep, "_CHUNK", chunk)
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    for name in (n for n in CASES if n.startswith("sweep_")):
+        workdir = tmp_path / name
+        workdir.mkdir()
+        assert run_case(CASES[name], workdir) == golden[name], name
 
 
 if __name__ == "__main__":

@@ -54,9 +54,21 @@ def test_asymmetric_is_unphysical():
     assert not rep.physical
 
 
+def test_indefinite_is_unphysical():
+    rep = core.validate(-np.eye(4))
+    assert rep.nu_minus == 1.0  # above the vacuum floor, yet not a covariance matrix
+    assert not rep.physical
+    # symplectic pair (1, 1) too; det M is 0 here, so F would divide by zero
+    V = np.array([[0.0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, -1]])
+    rep = core.validate(V)
+    assert rep.nu_minus >= 0.5 and not rep.physical
+
+
 def test_validate_rejects_bad_shapes_and_values():
     with pytest.raises(InvalidInput):
         core.validate(np.eye(3))
+    with pytest.raises(InvalidInput):
+        core.validate(np.diag([1e308, 1e308, 1.0, 1.0]))
     with pytest.raises(InvalidInput):
         core.validate(np.full((4, 4), np.nan))
     with pytest.raises(InvalidInput):

@@ -261,6 +261,14 @@ def test_classify_asymmetric_is_unphysical():
     assert lab is criteria.Classification.UNPHYSICAL
 
 
+def test_classify_out_of_range_and_indefinite_are_unphysical():
+    huge = np.diag([1e308, 1e308, 1.0, 1.0])  # physical, but Delta and det M overflow
+    stack = np.stack([huge, -np.eye(4), 0.5 * np.eye(4)])  # -I: every nu is 1
+    _, labels = criteria.classify(stack)
+    assert labels.tolist() == ["Unphysical", "Unphysical", "Separable"]
+    assert criteria.classify(huge)[1] is criteria.Classification.UNPHYSICAL
+
+
 def test_classify_stack_matches_per_row(rng):
     asymmetric = sampling.random_physical_covmats(rng, 6)
     asymmetric[:, 1, 2] += 1e-3

@@ -1,6 +1,7 @@
 """Parameter-plane sweeps: grid order, file formats, region coherence."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -225,6 +226,25 @@ def test_write_csv_file(tmp_path):
     assert text.startswith(HEADER)
     sweep.run_sweep(tiny_tmst(fmt="json")).write(path)
     assert json.loads(path.read_text())["config"]["family"] == "tmst"
+
+
+@pytest.mark.parametrize("family, fmt", [("tmst", "csv"), ("bs", "json")])
+def test_write_memory_is_bounded_by_the_chunk(tmp_path, monkeypatch, family, fmt):
+    monkeypatch.setattr(sweep, "_CHUNK", 1024)
+    axes = (("k1", 0.5, 3.0), ("k2", 0.5, 3.0)) if family == "tmst" else (
+        ("k", 0.5, 3.0), ("T", 0.05, 0.95))
+    cfg = sweep.SweepConfig(family=family, fixed={"r": 0.5}, format=fmt,
+                            **{key: sweep.AxisSpec(*axis, 200)
+                               for key, axis in zip(("axis1", "axis2"), axes)})
+    grid = sweep.run_sweep(cfg)
+    path = tmp_path / f"grid.{fmt}"
+    tracemalloc.start()
+    try:
+        grid.write(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * path.stat().st_size
 
 
 def test_degenerate_two_by_two_grid():
