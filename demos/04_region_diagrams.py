@@ -22,8 +22,13 @@ from gaussqt import AxisSpec, SweepConfig, run_sweep
 GLYPH = {"Separable": ".", "EntangledNoQT": "e", "QTNoEPR": "q", "EPRCorrelated": "E"}
 
 
-def region_codes(grid, steps):
-    return np.vectorize(GLYPH.get)(grid.labels).reshape(steps, steps)
+def region_labels(config):
+    """The class of every grid point, in row order (axis2 fastest)."""
+    return np.concatenate([chunk["class"] for chunk in run_sweep(config)])
+
+
+def region_codes(labels, steps):
+    return np.vectorize(GLYPH.get)(labels).reshape(steps, steps)
 
 
 def ascii_map(codes, every=3):
@@ -34,7 +39,7 @@ def ascii_map(codes, every=3):
 # -- squeezed thermal plane -------------------------------------------------
 
 steps = 61
-tmst_grid = run_sweep(
+tmst_labels = region_labels(
     SweepConfig(
         family="tmst",
         fixed={"r": 0.48},
@@ -42,7 +47,7 @@ tmst_grid = run_sweep(
         axis2=AxisSpec("k2", 0.5, 2.5, steps),
     )
 )
-codes = region_codes(tmst_grid, steps)
+codes = region_codes(tmst_labels, steps)
 print("squeezed thermal pairs at r = 0.48   "
       "(. separable, e entangled, q teleports, E EPR)")
 print("k2 grows to the right, k1 grows downward in parameter order;")
@@ -52,7 +57,7 @@ print("\nteleportation boundary: k1 + k2 =", float(np.exp(2 * 0.48)))
 
 # -- beam-splitter plane ----------------------------------------------------
 
-bs_grid = run_sweep(
+bs_labels = region_labels(
     SweepConfig(
         family="bs",
         fixed={"r": 0.5},
@@ -60,7 +65,7 @@ bs_grid = run_sweep(
         axis2=AxisSpec("T", 0.05, 0.95, steps),
     )
 )
-codes_bs = region_codes(bs_grid, steps)
+codes_bs = region_codes(bs_labels, steps)
 print("\nbeam-splitter outputs at r = 0.5   (k up the page, T to the right)\n")
 ascii_map(codes_bs)
 print("\nEPR correlation clusters around balanced transmittance T = 1/2")
@@ -78,11 +83,11 @@ else:
     lut = {name: i for i, name in enumerate(order)}
     cmap = matplotlib.colors.ListedColormap(["#f0f0f0", "#9ecae1", "#fdae6b", "#e6550d"])
 
-    for name, grid, ax1, ax2, extent in [
-        ("region_tmst.png", tmst_grid, "k2", "k1", (0.5, 2.5, 0.5, 2.5)),
-        ("region_bs.png", bs_grid, "T", "k", (0.05, 0.95, 0.5, 2.0)),
+    for name, labels, ax1, ax2, extent in [
+        ("region_tmst.png", tmst_labels, "k2", "k1", (0.5, 2.5, 0.5, 2.5)),
+        ("region_bs.png", bs_labels, "T", "k", (0.05, 0.95, 0.5, 2.0)),
     ]:
-        img = np.vectorize(lut.get)(grid.labels).reshape(steps, steps)
+        img = np.vectorize(lut.get)(labels).reshape(steps, steps)
         fig, ax = plt.subplots(figsize=(5.2, 4.4))
         ax.imshow(img, origin="lower", extent=extent, aspect="auto",
                   cmap=cmap, vmin=-0.5, vmax=3.5, interpolation="nearest")

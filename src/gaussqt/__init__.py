@@ -55,7 +55,7 @@ from .resources import (
     tmst,
 )
 from .sampling import random_physical_covmats, random_separable_covmats
-from .sweep import AxisSpec, RegionGrid, SweepConfig, run_sweep
+from .sweep import AxisSpec, SweepConfig, run_sweep
 
 __version__ = "0.1.0"
 
@@ -73,7 +73,6 @@ __all__ = [
     "PreconditionFailed",
     "QuadratureSpec",
     "QuadratureWarning",
-    "RegionGrid",
     "SweepConfig",
     "TmstSpec",
     "VACUUM",

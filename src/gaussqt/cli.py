@@ -46,6 +46,10 @@ _EXIT_CODES = {
 
 _RECORD = {"json": core.record_json, "csv": core.record_csv}
 
+# built once per process, by the first main() call: building it takes longer
+# than a whole analyze call
+_parser = None
+
 
 class _UsageError(Exception):
     pass
@@ -125,18 +129,17 @@ def _parse_axis(name: str, text: str) -> sweep.AxisSpec:
 
 
 def _cmd_sweep(args) -> int:
-    names = ("k1", "k2") if args.family == "tmst" else ("k", "T")
+    names = sweep._FAMILIES[args.family][0]
     axis1, axis2 = (_parse_axis(name, getattr(args, name)) for name in names)
     config = sweep.SweepConfig(
         family=args.family, fixed={"r": args.r}, axis1=axis1, axis2=axis2, format=args.format
     )
-    grid = sweep.run_sweep(config)
     if not args.out:
-        sys.stdout.writelines(grid._text(config.format))
+        sys.stdout.writelines(sweep.text(config))
         return EXIT_OK
-    grid.write(args.out)
+    sweep.write(config, args.out)
     if not args.quiet:
-        print(f"wrote {grid.n_rows} rows to {args.out}")
+        print(f"wrote {config.size} rows to {args.out}")
     return EXIT_OK
 
 
@@ -250,9 +253,11 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT

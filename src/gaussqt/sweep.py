@@ -3,19 +3,21 @@
 A sweep fixes the squeeze parameter of a resource family and scans two
 axes (tmst: k1, k2; bs: k, T), evaluating the EPR uncertainty, det M,
 fidelity and the three verdict flags at every grid point through
-``criteria._evaluate``, the package's one evaluation path, called once
-per chunk of rows.  The family constructors build physical states only,
-so rows get no separate physicality check.  Rows are ordered with axis2
-varying fastest; each is axis1, axis2 and the kernel's output row
-(``criteria._ROW_SCHEMA``), written as CSV or JSON one chunk of rows at a
-time, so writing a file never holds its whole text.  Identical
-configurations produce byte-identical files.
+``criteria._evaluate``, the package's one evaluation path.  The sweep is
+one stream: ``run_sweep`` yields one dict of column arrays per chunk of
+rows (axis1, axis2 and the kernel's output row, ``criteria._ROW_SCHEMA``),
+and ``text``/``write`` format each chunk as CSV or JSON as it arrives, so
+nothing grows with the grid.  Rows are ordered with axis2 varying fastest.
+The family constructors build physical states only, so rows get no
+separate physicality check, and ``SweepConfig`` checks the grid's corners,
+so a sweep that starts cannot fail part-way.  Identical configurations
+produce byte-identical files.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,16 +28,21 @@ __all__ = [
     "MAX_GRID_POINTS",
     "AxisSpec",
     "SweepConfig",
-    "RegionGrid",
     "run_sweep",
+    "text",
+    "write",
 ]
 
 MAX_GRID_POINTS = 4_000_000
 
-_FAMILY_AXES = {"tmst": ("k1", "k2"), "bs": ("k", "T")}
+# family -> (axis names, covariance constructor taking (r, axis1, axis2))
+_FAMILIES = {"tmst": (("k1", "k2"), resources.tmst_covmat),
+             "bs": (("k", "T"), resources.bs_covmat)}
 
-# rows per kernel call in run_sweep and per formatted slice in RegionGrid
-_CHUNK = 1 << 17
+# rows per kernel call and per piece of text.  A chunk's compute temporaries
+# and its text set a sweep's peak memory; at 1 << 17 a process's second JSON
+# sweep peaked higher than its first, as freed temporaries stayed resident
+_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -66,15 +73,17 @@ class SweepConfig:
     format: str = "csv"
 
     def __post_init__(self):
-        if self.family not in _FAMILY_AXES:
-            raise InvalidInput(f"family must be one of {tuple(_FAMILY_AXES)}")
-        names = (self.axis1.name, self.axis2.name)
-        if names != _FAMILY_AXES[self.family]:
-            raise InvalidInput(
-                f"axes for family {self.family!r} must be {_FAMILY_AXES[self.family]}, got {names}"
-            )
+        if self.family not in _FAMILIES:
+            raise InvalidInput(f"family must be one of {tuple(_FAMILIES)}")
+        names, build = _FAMILIES[self.family]
+        if (self.axis1.name, self.axis2.name) != names:
+            raise InvalidInput(f"axes for family {self.family!r} must be {names}, "
+                               f"got {(self.axis1.name, self.axis2.name)}")
         if "r" not in self.fixed:
             raise InvalidInput('fixed parameters must include "r"')
+        unknown = [key for key in self.fixed if key != "r"]
+        if unknown:
+            raise InvalidInput(f"unknown fixed parameters {unknown}: only \"r\" is fixed")
         r = self.fixed["r"]
         if not (isinstance(r, (int, float)) and math.isfinite(r) and r >= 0):
             raise InvalidInput("fixed r must be >= 0")
@@ -93,86 +102,54 @@ class SweepConfig:
             raise GridSizeError(
                 f"grid of {self.size} points exceeds the {MAX_GRID_POINTS} point budget"
             )
+        # a covariance matrix's largest entry is on its diagonal, and each
+        # family's diagonal is monotone in k and linear in T, so the four
+        # corners bound every entry: a grid that passes cannot fail mid-stream
+        hi1, hi2 = self.axis1.hi, self.axis2.hi
+        core._as_covmat(build(r, [lo1, lo1, hi1, hi1], [lo2, hi2, lo2, hi2]))
 
     @property
     def size(self) -> int:
         return self.axis1.steps * self.axis2.steps
 
 
-@dataclass(frozen=True)
-class RegionGrid:
-    """Evaluated sweep: column arrays in row order (axis2 fastest)."""
-
-    config: SweepConfig
-    axis1: np.ndarray
-    axis2: np.ndarray
-    delta_epr: np.ndarray = field(repr=False)
-    f_epr: np.ndarray = field(repr=False)
-    det_m: np.ndarray = field(repr=False)
-    fidelity: np.ndarray = field(repr=False)
-    entangled: np.ndarray = field(repr=False)
-    epr: np.ndarray = field(repr=False)
-    qt: np.ndarray = field(repr=False)
-    labels: np.ndarray = field(repr=False)
-
-    @property
-    def n_rows(self) -> int:
-        return self.axis1.size
-
-    def _text(self, fmt: str):
-        """The text in format ``fmt`` in pieces: the head, the rows of each
-        _CHUNK-row slice (with the row separator between slices), the tail."""
-        columns = {"axis1": self.axis1, "axis2": self.axis2, **criteria._row(self)}
-        if fmt == "csv":
-            head, sep, tail = ",".join(columns) + "\n", "\n", "\n"
-        else:
-            cfg = self.config
-            axes = {key: {"name": a.name, "min": float(a.lo), "max": float(a.hi), "steps": a.steps}
-                    for key, a in (("axis1", cfg.axis1), ("axis2", cfg.axis2))}
-            config = core.record_json({"family": cfg.family, "fixed": {"r": float(cfg.fixed["r"])},
-                                       **axes})
-            head = '{\n  "config": ' + config + ',\n  "rows": [\n    '
-            sep, tail = ",\n    ", "\n  ]\n}\n"
-        yield head
-        for lo in range(0, self.n_rows, _CHUNK):
-            if lo:
-                yield sep
-            chunk = {name: column[lo:lo + _CHUNK] for name, column in columns.items()}
-            yield sep.join(core.rows(chunk, fmt))
-        yield tail
-
-    def to_csv(self) -> str:
-        return "".join(self._text("csv"))
-
-    def to_json(self) -> str:
-        return "".join(self._text("json"))
-
-    def to_text(self) -> str:
-        return "".join(self._text(self.config.format))
-
-    def write(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.writelines(self._text(self.config.format))
-
-
-def run_sweep(config: SweepConfig) -> RegionGrid:
-    """Evaluate the grid.  Vectorised in chunks; deterministic row order
-    with axis2 fastest regardless of chunking."""
-    v1 = config.axis1.values()
-    v2 = config.axis2.values()
-    X1, X2 = np.meshgrid(v1, v2, indexing="ij")
-    a1 = X1.ravel()
-    a2 = X2.ravel()
-    n = a1.size
+def run_sweep(config: SweepConfig):
+    """Evaluate the grid chunk by chunk, in row order (axis2 fastest): for
+    each _CHUNK rows yield a dict of column arrays, axis1, axis2 and the
+    kernel's output row by output name."""
+    v1, v2 = config.axis1.values(), config.axis2.values()
     r = float(config.fixed["r"])
-    build = resources.tmst_covmat if config.family == "tmst" else resources.bs_covmat
+    build = _FAMILIES[config.family][1]
+    for lo in range(0, config.size, _CHUNK):
+        i = np.arange(lo, min(lo + _CHUNK, config.size))
+        a1, a2 = v1[i // v2.size], v2[i % v2.size]
+        yield {"axis1": a1, "axis2": a2, **criteria._row(criteria._evaluate(build(r, a1, a2)))}
 
-    for lo in range(0, n, _CHUNK):
-        hi = min(lo + _CHUNK, n)
-        cols = criteria._evaluate(build(r, a1[lo:hi], a2[lo:hi]))
-        if lo == 0:
-            out = {name: np.empty(n, getattr(cols, name).dtype)
-                   for name in criteria._ROW_SCHEMA.values()}
-        for name, column in out.items():
-            column[lo:hi] = getattr(cols, name)
-    return RegionGrid(config=config, axis1=a1, axis2=a2, **out)
+
+def text(config: SweepConfig):
+    """The sweep's text in its format, in pieces: the head, the rows of each
+    chunk (with the row separator between chunks), the tail."""
+    if config.format == "csv":
+        head = ",".join(("axis1", "axis2", *criteria._ROW_SCHEMA)) + "\n"
+        sep, tail = "\n", "\n"
+    else:
+        axes = {key: {"name": a.name, "min": float(a.lo), "max": float(a.hi), "steps": a.steps}
+                for key, a in (("axis1", config.axis1), ("axis2", config.axis2))}
+        head = '{\n  "config": ' + core.record_json(
+            {"family": config.family, "fixed": {"r": float(config.fixed["r"])}, **axes}
+        ) + ',\n  "rows": [\n    '
+        sep, tail = ",\n    ", "\n  ]\n}\n"
+    chunks = run_sweep(config)
+    yield head
+    for lo in range(0, config.size, _CHUNK):
+        if lo:
+            yield sep
+        # format next(chunks) in place: a loop variable would keep the
+        # previous chunk alive while the next one is computed
+        yield sep.join(core.rows(next(chunks), config.format))
+    yield tail
+
+
+def write(config: SweepConfig, path) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.writelines(text(config))

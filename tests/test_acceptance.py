@@ -31,6 +31,12 @@ def tmsv(r):
     return S @ (0.5 * np.eye(4)) @ S.T
 
 
+def _columns(config):
+    """A sweep's column arrays: its chunks concatenated, by column name."""
+    chunks = list(sweep.run_sweep(config))
+    return {name: np.concatenate([chunk[name] for chunk in chunks]) for name in chunks[0]}
+
+
 def test_criterion_01_closed_form_matches_quadrature():
     states = [
         0.5 * np.eye(4),
@@ -153,11 +159,11 @@ def test_criterion_06_thermal_plane_region_topology():
         axis1=sweep.AxisSpec("k1", 0.5, 2.5, n),
         axis2=sweep.AxisSpec("k2", 0.5, 2.5, n),
     )
-    g = sweep.run_sweep(cfg)
-    ent = g.entangled.reshape(n, n)
-    qt = g.qt.reshape(n, n)
-    k1 = g.axis1.reshape(n, n)
-    k2 = g.axis2.reshape(n, n)
+    g = _columns(cfg)
+    ent = g["entangled"].reshape(n, n)
+    qt = g["qt"].reshape(n, n)
+    k1 = g["axis1"].reshape(n, n)
+    k2 = g["axis2"].reshape(n, n)
 
     containment = bool(np.all(~qt | ent)) and bool((ent & ~qt).any())
     idx = np.arange(n)
@@ -195,11 +201,11 @@ def test_criterion_07_beam_splitter_plane_region_topology():
         axis1=sweep.AxisSpec("k", 0.5, 2.0, n),
         axis2=sweep.AxisSpec("T", 0.05, 0.95, n),
     )
-    g = sweep.run_sweep(cfg)
-    ent = g.entangled.reshape(n, n)
-    qt = g.qt.reshape(n, n)
-    epr = g.epr.reshape(n, n)
-    T = g.axis2.reshape(n, n)
+    g = _columns(cfg)
+    ent = g["entangled"].reshape(n, n)
+    qt = g["qt"].reshape(n, n)
+    epr = g["epr"].reshape(n, n)
+    T = g["axis2"].reshape(n, n)
 
     no_epr_without_qt = int((epr & ~qt).sum()) == 0
     some_qt_without_epr = int((qt & ~epr).sum()) >= 1

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 import gaussqt.cli as cli
 import gaussqt.core as core
 import gaussqt.sampling as sampling
+import gaussqt.sweep as sweep
 
 VACUUM = 0.5 * np.eye(4)
 
@@ -373,6 +374,23 @@ def test_domain_edges_exit_3_with_one_line(argv, named, tmp_path):
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert named in lines[0]
+
+
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "file"])
+def test_sweep_failing_past_the_first_chunk_writes_nothing(to_file, tmp_path, capsys,
+                                                           monkeypatch):
+    # with 3-row chunks only the rows from the second chunk on (k1 >= 2e6)
+    # have entries beyond core.MAX_ENTRY at r = 80
+    monkeypatch.setattr(sweep, "_CHUNK", 3)
+    path = tmp_path / "grid.csv"
+    out_flags = ["--out", str(path)] if to_file else []
+    code, out, err = run(capsys, "sweep", "tmst", "--r", "80",
+                         "--k1", "0.5:4e6:3", "--k2", "0.5:1:3", *out_flags)
+    assert code == cli.EXIT_BAD_INPUT
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert not path.exists()
 
 
 EDGE_FLOATS = st.one_of(
