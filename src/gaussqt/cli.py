@@ -91,9 +91,8 @@ def _print_analysis(V, args) -> int:
         _emit(core.record_csv(criteria._row(cols)), args.out)
         return EXIT_OK
     report, label = criteria._report(cols)
-    params, _ = core.to_canonical(V)
-    verdict = core._verdict(V, cols.ppt_nu_minus)
-    _emit(_analysis_json(validity, report, label, params, verdict), args.out)
+    params, _ = core._canonical(V)
+    _emit(_analysis_json(validity, report, label, params, core._verdict(V)), args.out)
     return EXIT_OK
 
 

@@ -33,7 +33,6 @@ from typing import NamedTuple
 import numpy as np
 
 from . import core
-from .core import PHYSICALITY_TOL
 from .errors import NumericalDomainError
 
 __all__ = [
@@ -194,7 +193,6 @@ class Columns(NamedTuple):
     f_epr: np.ndarray
     det_m: np.ndarray
     fidelity: np.ndarray
-    ppt_nu_minus: np.ndarray
     entangled: np.ndarray
     epr: np.ndarray
     qt: np.ndarray
@@ -224,15 +222,13 @@ def _evaluate(V: np.ndarray) -> Columns:
     """Columns of a (..., 4, 4) stack already known to be physical."""
     delta = _delta_raw(V)
     det_m = _det_m(V)
-    nu = np.asarray(core.ppt_nu_minus(V))
-    entangled = nu < 0.5 - PHYSICALITY_TOL
+    entangled = core._ppt_entangled(V)
     epr = delta < 2.0
     qt = det_m < 4.0
     labels = np.select(
         [~entangled, epr, qt], _PRECEDENCE, Classification.ENTANGLED_NO_QT.value
     )
-    return Columns(delta, _f_epr(delta), det_m, _fidelity(det_m), nu, entangled, epr, qt,
-                   labels)
+    return Columns(delta, _f_epr(delta), det_m, _fidelity(det_m), entangled, epr, qt, labels)
 
 
 def _report(cols: Columns) -> tuple[CriteriaReport, Classification]:
@@ -249,8 +245,8 @@ def _report(cols: Columns) -> tuple[CriteriaReport, Classification]:
     return report, Classification(str(cols.labels))
 
 
-_UNPHYSICAL_ROW = Columns(math.nan, math.nan, math.nan, math.nan, math.nan,
-                          False, False, False, Classification.UNPHYSICAL.value)
+_UNPHYSICAL_ROW = Columns(math.nan, math.nan, math.nan, math.nan, False, False, False,
+                          Classification.UNPHYSICAL.value)
 
 
 def classify(V):

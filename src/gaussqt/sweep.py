@@ -17,7 +17,10 @@ produce byte-identical files.
 from __future__ import annotations
 
 import math
+import os
+import secrets
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -67,12 +70,13 @@ class AxisSpec:
 @dataclass(frozen=True)
 class SweepConfig:
     family: str
-    fixed: dict
+    fixed: MappingProxyType
     axis1: AxisSpec
     axis2: AxisSpec
     format: str = "csv"
 
     def __post_init__(self):
+        object.__setattr__(self, "fixed", MappingProxyType(dict(self.fixed)))
         if self.family not in _FAMILIES:
             raise InvalidInput(f"family must be one of {tuple(_FAMILIES)}")
         names, build = _FAMILIES[self.family]
@@ -102,9 +106,9 @@ class SweepConfig:
             raise GridSizeError(
                 f"grid of {self.size} points exceeds the {MAX_GRID_POINTS} point budget"
             )
-        # a covariance matrix's largest entry is on its diagonal, and each
-        # family's diagonal is monotone in k and linear in T, so the four
-        # corners bound every entry: a grid that passes cannot fail mid-stream
+        # a covariance matrix's largest entry is on its diagonal, and each family's
+        # diagonal is monotone in k and linear in T, so the four corners bound every
+        # entry: a grid that passes (its r read-only above) cannot fail mid-stream
         hi1, hi2 = self.axis1.hi, self.axis2.hi
         core._as_covmat(build(r, [lo1, lo1, hi1, hi1], [lo2, hi2, lo2, hi2]))
 
@@ -151,5 +155,21 @@ def text(config: SweepConfig):
 
 
 def write(config: SweepConfig, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.writelines(text(config))
+    """Write the sweep's text to ``path`` whole or not at all: a new file beside it (or its
+    symlink's target) replaces it when complete.  Devices and pipes are written in place."""
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.writelines(text(config))
+        return
+    head, tail = os.path.split(os.path.realpath(path))
+    tmp = os.path.join(head, f".{tail}.{secrets.token_hex(8)}.tmp")
+    fh = open(tmp, "x", encoding="utf-8", newline="")
+    try:
+        with fh:
+            fh.writelines(text(config))
+        if os.path.exists(path):  # keep the permissions open(path, "w") would keep
+            os.chmod(tmp, os.stat(path).st_mode & 0o7777)
+        os.replace(tmp, os.path.join(head, tail))
+    except BaseException:
+        os.unlink(tmp)
+        raise

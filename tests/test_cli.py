@@ -102,8 +102,8 @@ def test_analyze_out_file(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("fmt, budget, physical", [
-    ("json", 3, True), ("csv", 2, True), ("json", 1, False),
-], ids=["json-3", "csv-2", "unphysical-json-1"])
+    ("json", 2, True), ("csv", 2, True), ("json", 1, False),
+], ids=["json-2", "csv-2", "unphysical-json-1"])
 def test_analyze_spectrum_budget(tmp_path, capsys, monkeypatch, rng, fmt, budget, physical):
     path = tmp_path / "state.json"
     V = sampling.random_physical_covmats(rng, 1)[0] if physical else 0.4 * np.eye(4)

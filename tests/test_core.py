@@ -246,6 +246,82 @@ def test_separable_samples_read_separable(rng):
     assert np.all(lhs <= 1.0 + 1e-9)
 
 
+# ------------------------------------------------ closed-form PPT verdict
+
+PPT_CUT = 0.5 - 1e-10
+
+
+def symmetric_standard_form(eta, c):
+    """Stack of states with A = B = eta I, C = diag(c, -c): PPT nu~_minus = eta - c."""
+    V = np.zeros(np.shape(eta) + (4, 4))
+    for i in range(4):
+        V[..., i, i] = eta
+    V[..., 0, 2] = V[..., 2, 0] = c
+    V[..., 1, 3] = V[..., 3, 1] = -c
+    return V
+
+
+def locally_transformed(rng, V):
+    """V conjugated by random local symplectics, which keep both spectra."""
+    S = np.zeros(V.shape)
+    S[:, :2, :2] = sampling.random_local_symplectics(rng, len(V))
+    S[:, 2:, 2:] = sampling.random_local_symplectics(rng, len(V))
+    out = S @ V @ np.swapaxes(S, -1, -2)
+    return 0.5 * (out + np.swapaxes(out, -1, -2))
+
+
+def ppt_ensembles(rng, n):
+    """Adversarial stacks for the closed-form verdict, by name."""
+    r = rng.uniform(0.0, 3.0, n)
+    k = 0.5 + 10.0 ** rng.uniform(-12.0, -3.0, (2, n))
+    out = {
+        "random physical": sampling.random_physical_covmats(rng, n),
+        "separable": sampling.random_separable_covmats(rng, n),
+        "near-pure TMSV": locally_transformed(rng, resources.tmst_covmat(r, k[0], k[1])),
+        "TMSV r <= 17": resources.tmst_covmat(np.linspace(0.0, 17.0, n), 0.5, 0.5),
+    }
+    for name, centre in (("1/2", 0.5), ("the cut", PPT_CUT)):
+        delta = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-16.0, -6.0, n)
+        eta = 10.0 ** rng.uniform(math.log10(0.6), 3.0, n)
+        V = symmetric_standard_form(eta, eta - (centre + delta))
+        out[f"standard form at {name} +- delta"] = V
+        out[f"rotated standard form at {name} +- delta"] = locally_transformed(rng, V)
+    return out
+
+
+def test_closed_form_ppt_verdict_matches_eigen_route(rng):
+    for name, V in ppt_ensembles(rng, 20_000).items():
+        expected = core.ppt_nu_minus(V) < PPT_CUT
+        got = core._ppt_entangled(V)
+        assert got.shape == expected.shape
+        assert np.array_equal(got, expected), name
+        assert np.array_equal(core._ppt_entangled(V.reshape(4, -1, 4, 4)),
+                              expected.reshape(4, -1)), name
+        for i in range(0, len(V), 997):
+            single = core._ppt_entangled(V[i])
+            assert single.shape == () and bool(single) == expected[i], (name, i)
+
+
+def test_closed_form_ppt_verdict_falls_back_on_exactly_the_uncleared_rows(rng, monkeypatch):
+    ordinary = sampling.random_physical_covmats(rng, 64)
+    eta = np.array([0.6, 1.0, 3.0, 30.0])
+    at_cut = symmetric_standard_form(eta, eta - PPT_CUT)
+    # 1e-12 from 1/2 is far outside the bound at eta ~ 1, but inside it at
+    # eta = 1e4, where the entries make det V uncertain to ~1e-7 relative
+    near_half = symmetric_standard_form(np.full(2, 1e4), 1e4 - 0.5 + np.array([1e-12, -1e-12]))
+    V = np.concatenate([ordinary[:32], at_cut, ordinary[32:], near_half])
+    uncleared = np.concatenate([at_cut, near_half])
+    calls = []
+    real = core._sym_eigs
+    monkeypatch.setattr(core, "_sym_eigs", lambda W: calls.append(W) or real(W))
+    got = core._ppt_entangled(V)
+    assert len(calls) == 1
+    assert np.array_equal(core._PT @ calls[0] @ core._PT, uncleared)
+    monkeypatch.setattr(core, "_sym_eigs", real)
+    assert np.array_equal(got, core.ppt_nu_minus(V) < PPT_CUT)
+    assert not got[-2:].any()
+
+
 # -------------------------------------------------------- canonical form
 
 

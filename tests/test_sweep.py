@@ -1,6 +1,8 @@
 """Parameter-plane sweeps: grid order, file formats, region coherence."""
 
 import json
+import os
+import stat
 import tracemalloc
 
 import numpy as np
@@ -82,6 +84,17 @@ def test_sweep_config_validation():
         )
     with pytest.raises(InvalidInput, match="k1"):  # only r is a fixed parameter
         sweep.SweepConfig(family="tmst", fixed={"r": 0.5, "k1": 9}, axis1=ax, axis2=ax2)
+
+
+def test_sweep_config_fixed_is_frozen_after_validation():
+    fixed = {"r": 0.48}
+    c = sweep.SweepConfig(family="tmst", fixed=fixed, axis1=sweep.AxisSpec("k1", 0.5, 1.5, 3),
+                          axis2=sweep.AxisSpec("k2", 0.5, 2.5, 3))
+    with pytest.raises(TypeError):
+        c.fixed["r"] = 400
+    fixed["r"] = 400  # the caller's dict is not the config's
+    assert c.fixed["r"] == 0.48
+    assert c == tiny_tmst(3, 3)
 
 
 def test_grid_budget_enforced():
@@ -212,13 +225,13 @@ def test_json_layout():
     assert rows[0]["delta_epr"] == grid["delta_epr"][0]
 
 
-def test_run_sweep_one_spectrum_per_chunk(monkeypatch):
+def test_run_sweep_takes_no_spectrum_on_an_ordinary_grid(monkeypatch):
     calls = []
     real = core._sym_eigs
     monkeypatch.setattr(core, "_sym_eigs", lambda V: calls.append(len(V)) or real(V))
     monkeypatch.setattr(sweep, "_CHUNK", 4)
     grid = columns(tiny_tmst(3, 5))
-    assert calls == [4, 4, 4, 3]
+    assert calls == []
     assert grid["axis1"].size == 15
 
 
@@ -236,6 +249,52 @@ def test_write_csv_file(tmp_path):
     assert written.startswith(HEADER)
     sweep.write(tiny_tmst(fmt="json"), path)
     assert json.loads(path.read_text())["config"]["family"] == "tmst"
+
+
+def test_write_failing_mid_stream_leaves_no_file(tmp_path, monkeypatch):
+    def failing_text(config):
+        yield HEADER + "\n"
+        raise OSError("disk full")
+
+    monkeypatch.setattr(sweep, "text", failing_text)
+    path = tmp_path / "grid.csv"
+    with pytest.raises(OSError, match="disk full"):
+        sweep.write(tiny_tmst(), path)
+    assert list(tmp_path.iterdir()) == []
+    path.write_text("old")  # an existing file is kept whole
+    with pytest.raises(OSError, match="disk full"):
+        sweep.write(tiny_tmst(), path)
+    assert list(tmp_path.iterdir()) == [path]
+    assert path.read_text() == "old"
+
+
+def test_write_gives_the_mode_open_gives(tmp_path):
+    reference = tmp_path / "reference"
+    with open(reference, "w"):
+        pass
+    path = tmp_path / "grid.csv"
+    sweep.write(tiny_tmst(), path)
+    assert stat.S_IMODE(path.stat().st_mode) == stat.S_IMODE(reference.stat().st_mode)
+    assert sorted(tmp_path.iterdir()) == [path, reference]
+    path.chmod(0o600)  # an existing file keeps its permissions, as with open
+    sweep.write(tiny_tmst(), path)
+    assert stat.S_IMODE(path.stat().st_mode) == 0o600
+
+
+def test_write_through_a_symlink_replaces_its_target(tmp_path):
+    target = tmp_path / "grid.csv"
+    target.write_text("old")
+    link = tmp_path / "link.csv"
+    link.symlink_to(target)
+    sweep.write(tiny_tmst(), link)
+    assert link.is_symlink()
+    assert target.read_text() == text(tiny_tmst())
+    assert sorted(tmp_path.iterdir()) == [target, link]
+
+
+def test_write_to_a_device_writes_in_place():
+    sweep.write(tiny_tmst(), os.devnull)
+    assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
 
 
 @pytest.mark.parametrize("family, fmt", [("tmst", "csv"), ("bs", "json")])
