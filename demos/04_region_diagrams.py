@@ -42,7 +42,7 @@ steps = 61
 tmst_labels = region_labels(
     SweepConfig(
         family="tmst",
-        fixed={"r": 0.48},
+        r=0.48,
         axis1=AxisSpec("k1", 0.5, 2.5, steps),
         axis2=AxisSpec("k2", 0.5, 2.5, steps),
     )
@@ -60,7 +60,7 @@ print("\nteleportation boundary: k1 + k2 =", float(np.exp(2 * 0.48)))
 bs_labels = region_labels(
     SweepConfig(
         family="bs",
-        fixed={"r": 0.5},
+        r=0.5,
         axis1=AxisSpec("k", 0.5, 2.0, steps),
         axis2=AxisSpec("T", 0.05, 0.95, steps),
     )

@@ -131,7 +131,7 @@ def _cmd_sweep(args) -> int:
     names = sweep._FAMILIES[args.family][0]
     axis1, axis2 = (_parse_axis(name, getattr(args, name)) for name in names)
     config = sweep.SweepConfig(
-        family=args.family, fixed={"r": args.r}, axis1=axis1, axis2=axis2, format=args.format
+        family=args.family, r=args.r, axis1=axis1, axis2=axis2, format=args.format
     )
     if not args.out:
         sys.stdout.writelines(sweep.text(config))

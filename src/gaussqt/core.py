@@ -403,11 +403,12 @@ def _token_rule(v, fmt: str):
     return fmt17
 
 
-def _template(names, fmt: str) -> str:
-    """One %s per field: comma-separated values, or a one-line JSON object."""
+def _template(conversions: dict, fmt: str) -> str:
+    """The given conversion for each field, by name: comma-separated values,
+    or a one-line JSON object."""
     if fmt == "csv":
-        return ",".join(["%s"] * len(names))
-    return "{" + ", ".join(f'"{k}": %s' for k in names) + "}"
+        return ",".join(conversions.values())
+    return "{" + ", ".join(f'"{k}": {c}' for k, c in conversions.items()) + "}"
 
 
 def json_token(v) -> str:
@@ -415,17 +416,39 @@ def json_token(v) -> str:
     return _token_rule(v, "json")(v)
 
 
+def _column(column: np.ndarray, fmt: str) -> tuple[str, list]:
+    """The template conversion of one column and the row values it takes.
+    Each distinct value (floats told apart by their bits, so 0.0 and -0.0
+    keep their own tokens) is formatted once by ``_token_rule`` and its token
+    indexed per row, except in an all-finite float column with mostly
+    distinct values: there the template's ``%.17g`` writes each value as
+    fmt17 would."""
+    is_float = column.dtype.kind == "f"
+    key = column.view(f"i{column.itemsize}") if is_float else column
+    if column.size == 1:  # record_csv: a sort would cost more than the row
+        distinct, inverse = key, np.zeros(1, np.intp)
+    else:
+        distinct, inverse = np.unique(key, return_inverse=True)
+    if is_float and 2 * distinct.size > column.size and np.isfinite(column).all():
+        return "%.17g", column.tolist()
+    values = distinct.view(column.dtype).tolist()
+    tokens = np.array(list(map(_token_rule(values[0], fmt), values)), dtype=object)
+    return "%s", tokens[inverse].tolist()
+
+
 def rows(columns: dict, fmt: str) -> list[str]:
     """Text rows of equal-length, non-empty 1-D columns, keys in dict order:
-    CSV values or one-line JSON objects.  Each column is formatted once."""
-    template = _template(columns, fmt)
-    values = [column.tolist() for column in columns.values()]
-    return [template % row for row in zip(*(map(_token_rule(v[0], fmt), v) for v in values))]
+    CSV values or one-line JSON objects.  Each distinct value is formatted
+    once (see ``_column``)."""
+    conversions, values = zip(*(_column(column, fmt) for column in columns.values()))
+    template = _template(dict(zip(columns, conversions)), fmt)
+    return [template % row for row in zip(*values)]
 
 
 def record_json(fields: dict) -> str:
     """A field dict as a one-line JSON object, keys in dict order."""
-    return _template(fields, "json") % tuple(map(json_token, fields.values()))
+    template = _template(dict.fromkeys(fields, "%s"), "json")
+    return template % tuple(map(json_token, fields.values()))
 
 
 def record_csv(fields: dict) -> str:

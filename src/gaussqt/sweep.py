@@ -8,10 +8,11 @@ one stream: ``run_sweep`` yields one dict of column arrays per chunk of
 rows (axis1, axis2 and the kernel's output row, ``criteria._ROW_SCHEMA``),
 and ``text``/``write`` format each chunk as CSV or JSON as it arrives, so
 nothing grows with the grid.  Rows are ordered with axis2 varying fastest.
-The family constructors build physical states only, so rows get no
-separate physicality check, and ``SweepConfig`` checks the grid's corners,
-so a sweep that starts cannot fail part-way.  Identical configurations
-produce byte-identical files.
+Sweep rows skip the physicality check, so a strongly squeezed row that
+``classify`` reads as Unphysical through rounding gets a verdict here (see
+ROADMAP item 1).  ``SweepConfig`` checks the grid's corners, so a sweep
+that starts cannot fail part-way.  Identical configurations produce
+byte-identical files.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import math
 import os
 import secrets
 from dataclasses import dataclass
-from types import MappingProxyType
 
 import numpy as np
 
@@ -70,27 +70,21 @@ class AxisSpec:
 @dataclass(frozen=True)
 class SweepConfig:
     family: str
-    fixed: MappingProxyType
+    r: float
     axis1: AxisSpec
     axis2: AxisSpec
     format: str = "csv"
 
     def __post_init__(self):
-        object.__setattr__(self, "fixed", MappingProxyType(dict(self.fixed)))
         if self.family not in _FAMILIES:
             raise InvalidInput(f"family must be one of {tuple(_FAMILIES)}")
         names, build = _FAMILIES[self.family]
         if (self.axis1.name, self.axis2.name) != names:
             raise InvalidInput(f"axes for family {self.family!r} must be {names}, "
                                f"got {(self.axis1.name, self.axis2.name)}")
-        if "r" not in self.fixed:
-            raise InvalidInput('fixed parameters must include "r"')
-        unknown = [key for key in self.fixed if key != "r"]
-        if unknown:
-            raise InvalidInput(f"unknown fixed parameters {unknown}: only \"r\" is fixed")
-        r = self.fixed["r"]
+        r = self.r
         if not (isinstance(r, (int, float)) and math.isfinite(r) and r >= 0):
-            raise InvalidInput("fixed r must be >= 0")
+            raise InvalidInput("r must be finite and >= 0")
         if self.format not in ("csv", "json"):
             raise InvalidInput('format must be "csv" or "json"')
         lo1, lo2 = self.axis1.lo, self.axis2.lo
@@ -108,7 +102,7 @@ class SweepConfig:
             )
         # a covariance matrix's largest entry is on its diagonal, and each family's
         # diagonal is monotone in k and linear in T, so the four corners bound every
-        # entry: a grid that passes (its r read-only above) cannot fail mid-stream
+        # entry: a grid that passes cannot fail mid-stream
         hi1, hi2 = self.axis1.hi, self.axis2.hi
         core._as_covmat(build(r, [lo1, lo1, hi1, hi1], [lo2, hi2, lo2, hi2]))
 
@@ -122,7 +116,7 @@ def run_sweep(config: SweepConfig):
     each _CHUNK rows yield a dict of column arrays, axis1, axis2 and the
     kernel's output row by output name."""
     v1, v2 = config.axis1.values(), config.axis2.values()
-    r = float(config.fixed["r"])
+    r = float(config.r)
     build = _FAMILIES[config.family][1]
     for lo in range(0, config.size, _CHUNK):
         i = np.arange(lo, min(lo + _CHUNK, config.size))
@@ -140,7 +134,7 @@ def text(config: SweepConfig):
         axes = {key: {"name": a.name, "min": float(a.lo), "max": float(a.hi), "steps": a.steps}
                 for key, a in (("axis1", config.axis1), ("axis2", config.axis2))}
         head = '{\n  "config": ' + core.record_json(
-            {"family": config.family, "fixed": {"r": float(config.fixed["r"])}, **axes}
+            {"family": config.family, "fixed": {"r": float(config.r)}, **axes}
         ) + ',\n  "rows": [\n    '
         sep, tail = ",\n    ", "\n  ]\n}\n"
     chunks = run_sweep(config)

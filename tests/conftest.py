@@ -112,3 +112,15 @@ def epr_combo_variance(V):
         + V[..., 3, 3]
         + 2.0 * V[..., 1, 3]
     )
+
+
+def reference_rows(columns, fmt):
+    """``core.rows`` one value at a time: each value's own ``_token_rule``
+    token, then one ``%s`` per field of the row template.  The token rules
+    are the package's by design; what this checks is the writer's
+    deduplication and its inline conversions."""
+    from gaussqt import core
+
+    template = core._template(dict.fromkeys(columns, "%s"), fmt)
+    values = [np.asarray(column).tolist() for column in columns.values()]
+    return [template % tuple(core._token_rule(v, fmt)(v) for v in row) for row in zip(*values)]

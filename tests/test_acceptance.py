@@ -155,7 +155,7 @@ def test_criterion_06_thermal_plane_region_topology():
     n = 201
     cfg = sweep.SweepConfig(
         family="tmst",
-        fixed={"r": 0.48},
+        r=0.48,
         axis1=sweep.AxisSpec("k1", 0.5, 2.5, n),
         axis2=sweep.AxisSpec("k2", 0.5, 2.5, n),
     )
@@ -197,7 +197,7 @@ def test_criterion_07_beam_splitter_plane_region_topology():
     n = 151
     cfg = sweep.SweepConfig(
         family="bs",
-        fixed={"r": 0.5},
+        r=0.5,
         axis1=sweep.AxisSpec("k", 0.5, 2.0, n),
         axis2=sweep.AxisSpec("T", 0.05, 0.95, n),
     )

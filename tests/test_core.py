@@ -1,5 +1,6 @@
-"""Validity, symplectic spectra, separability verdicts, standard form, JSON."""
+"""Validity, symplectic spectra, separability verdicts, standard form, JSON, row writer."""
 
+import decimal
 import json
 import math
 
@@ -12,7 +13,7 @@ import gaussqt.core as core
 import gaussqt.resources as resources
 import gaussqt.sampling as sampling
 from gaussqt.errors import InvalidInput, PreconditionFailed
-from conftest import det_block_nu, williamson_nu, two_mode_squeezer
+from conftest import det_block_nu, reference_rows, williamson_nu, two_mode_squeezer
 
 VACUUM = 0.5 * np.eye(4)
 
@@ -466,6 +467,93 @@ def test_covmat_file_roundtrip(tmp_path, rng):
     path = tmp_path / "state.json"
     core.save_covmat(V, path)
     assert np.array_equal(core.load_covmat(path), V)
+
+
+# ------------------------------------------------------------- row writer
+
+# 2**-25 and 3 * 2**-25 are exact 18-digit decimals ending in 5, so their
+# 17-digit forms are rounding ties
+TIES = [2.0**-25, 3 * 2.0**-25]
+SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 1e75, -1e75,
+           core.MAX_ENTRY, 0.1, 1 / 3, 1e16, 123456789012345680.0, *TIES]
+LABELS = np.array(["Separable", "EntangledNoQT", "QTNoEPR", "EPRCorrelated", "Unphysical"])
+
+
+def assert_rows_match_reference(columns):
+    for fmt in ("csv", "json"):
+        assert core.rows(columns, fmt) == reference_rows(columns, fmt), fmt
+
+
+def conversion(column):
+    return core._column(np.asarray(column), "csv")[0]
+
+
+def test_tie_values_are_ties():
+    for x in TIES:
+        digits = decimal.Decimal(x).as_tuple().digits
+        assert len(digits) == 18 and digits[-1] == 5
+
+
+@given(st.floats(allow_nan=False, allow_infinity=False))
+@settings(max_examples=2000, deadline=None)
+def test_inline_conversion_is_fmt17_on_finite_floats(x):
+    assert "%.17g" % x == core.fmt17(x)
+
+
+def test_inline_conversion_is_fmt17_on_special_values():
+    for x in SPECIAL:
+        assert "%.17g" % x == core.fmt17(x) == format(x, ".17g")
+
+
+def test_rows_match_reference_on_special_values(rng):
+    n = 64
+    distinct = np.concatenate([SPECIAL, rng.normal(size=n - len(SPECIAL))])
+    repeated = np.resize(SPECIAL, n)
+    signed_zeros = np.resize([0.0, -0.0], n)
+    assert conversion(distinct) == "%.17g"
+    assert conversion(repeated) == conversion(signed_zeros) == "%s"
+    assert core.rows({"z": signed_zeros}, "csv")[:2] == ["0", "-0"]
+    assert_rows_match_reference({
+        "distinct": distinct,
+        "repeated": repeated,
+        "signed_zeros": signed_zeros,
+        "equal": np.full(n, 1 / 3),
+        "bool": rng.random(n) < 0.5,
+        "label": LABELS[rng.integers(0, LABELS.size, n)],
+        "int": rng.integers(-3, 3, n),
+    })
+
+
+def test_rows_match_reference_with_non_finite_values(rng):
+    n = 40
+    mixed = rng.normal(size=n)
+    mixed[[3, 7, 11, 19]] = [np.nan, np.inf, -np.inf, -np.nan]
+    assert conversion(mixed) == "%s"  # mostly distinct, but not all finite
+    assert core.rows({"x": mixed}, "json")[3] == '{"x": null}'
+    assert_rows_match_reference({
+        "mixed": mixed,
+        "all_nan": np.full(n, np.nan),
+        "repeated": np.resize([np.inf, 1.5, -np.inf, np.nan, -0.0], n),
+    })
+
+
+def test_rows_match_reference_either_side_of_the_distinct_count_switch(rng):
+    n = 12
+    values = rng.normal(size=n)
+    at_half = np.resize(values[:6], n)  # 6 of 12 distinct: deduplicated
+    past_half = np.resize(values[:7], n)  # 7 of 12: formatted inline
+    assert conversion(at_half) == "%s"
+    assert conversion(past_half) == "%.17g"
+    assert_rows_match_reference({"at_half": at_half, "past_half": past_half,
+                                 "flags": np.resize([True, False, False], n)})
+
+
+def test_one_row_columns_match_reference():
+    for x in [*SPECIAL, np.nan, np.inf, -np.inf]:
+        fields = {"x": x, "flag": np.bool_(x > 0), "label": "QTNoEPR", "n": 7}
+        columns = {k: np.atleast_1d(v) for k, v in fields.items()}
+        assert_rows_match_reference(columns)
+        assert core.record_csv(fields) == "x,flag,label,n\n" + reference_rows(columns, "csv")[0]
 
 
 # ------------------------------------------------------------ properties

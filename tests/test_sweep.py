@@ -1,5 +1,6 @@
 """Parameter-plane sweeps: grid order, file formats, region coherence."""
 
+import dataclasses
 import json
 import os
 import stat
@@ -13,6 +14,7 @@ import gaussqt.criteria as criteria
 import gaussqt.resources as resources
 import gaussqt.sweep as sweep
 from gaussqt.errors import GridSizeError, InvalidInput
+from conftest import reference_rows
 
 HEADER = "axis1,axis2,delta_epr,f_epr,det_m,fidelity,entangled,epr,qt,class"
 
@@ -20,7 +22,7 @@ HEADER = "axis1,axis2,delta_epr,f_epr,det_m,fidelity,entangled,epr,qt,class"
 def tiny_tmst(steps1=2, steps2=3, fmt="csv"):
     return sweep.SweepConfig(
         family="tmst",
-        fixed={"r": 0.48},
+        r=0.48,
         axis1=sweep.AxisSpec("k1", 0.5, 1.5, steps1),
         axis2=sweep.AxisSpec("k2", 0.5, 2.5, steps2),
         format=fmt,
@@ -57,57 +59,54 @@ def test_sweep_config_validation():
     ax = sweep.AxisSpec("k1", 0.5, 1.0, 3)
     ax2 = sweep.AxisSpec("k2", 0.5, 1.0, 3)
     with pytest.raises(InvalidInput):
-        sweep.SweepConfig(family="other", fixed={"r": 0.1}, axis1=ax, axis2=ax2)
+        sweep.SweepConfig(family="other", r=0.1, axis1=ax, axis2=ax2)
     with pytest.raises(InvalidInput):
-        sweep.SweepConfig(family="tmst", fixed={}, axis1=ax, axis2=ax2)
+        sweep.SweepConfig(family="tmst", r=float("inf"), axis1=ax, axis2=ax2)
     with pytest.raises(InvalidInput):
-        sweep.SweepConfig(family="tmst", fixed={"r": -0.5}, axis1=ax, axis2=ax2)
+        sweep.SweepConfig(family="tmst", r=-0.5, axis1=ax, axis2=ax2)
     with pytest.raises(InvalidInput):  # axis names must match the family
-        sweep.SweepConfig(family="tmst", fixed={"r": 0.1}, axis1=ax2, axis2=ax)
+        sweep.SweepConfig(family="tmst", r=0.1, axis1=ax2, axis2=ax)
     with pytest.raises(InvalidInput):  # k axis below the thermal floor
         sweep.SweepConfig(
             family="tmst",
-            fixed={"r": 0.1},
+            r=0.1,
             axis1=sweep.AxisSpec("k1", 0.3, 1.0, 3),
             axis2=ax2,
         )
     with pytest.raises(InvalidInput):  # T axis must stay inside (0, 1)
         sweep.SweepConfig(
             family="bs",
-            fixed={"r": 0.1},
+            r=0.1,
             axis1=sweep.AxisSpec("k", 0.5, 1.0, 3),
             axis2=sweep.AxisSpec("T", 0.0, 0.9, 3),
         )
     with pytest.raises(InvalidInput):
         sweep.SweepConfig(
-            family="tmst", fixed={"r": 0.1}, axis1=ax, axis2=ax2, format="yaml"
+            family="tmst", r=0.1, axis1=ax, axis2=ax2, format="yaml"
         )
-    with pytest.raises(InvalidInput, match="k1"):  # only r is a fixed parameter
-        sweep.SweepConfig(family="tmst", fixed={"r": 0.5, "k1": 9}, axis1=ax, axis2=ax2)
 
 
-def test_sweep_config_fixed_is_frozen_after_validation():
-    fixed = {"r": 0.48}
-    c = sweep.SweepConfig(family="tmst", fixed=fixed, axis1=sweep.AxisSpec("k1", 0.5, 1.5, 3),
+def test_sweep_config_is_frozen_and_hashable():
+    c = sweep.SweepConfig(family="tmst", r=0.48, axis1=sweep.AxisSpec("k1", 0.5, 1.5, 3),
                           axis2=sweep.AxisSpec("k2", 0.5, 2.5, 3))
-    with pytest.raises(TypeError):
-        c.fixed["r"] = 400
-    fixed["r"] = 400  # the caller's dict is not the config's
-    assert c.fixed["r"] == 0.48
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        c.r = 400  # validated once: the grid's corner check stays true
     assert c == tiny_tmst(3, 3)
+    assert hash(c) == hash(tiny_tmst(3, 3))
+    assert len({c, tiny_tmst(3, 3), tiny_tmst(3, 3, fmt="json")}) == 2
 
 
 def test_grid_budget_enforced():
     with pytest.raises(GridSizeError):
         sweep.SweepConfig(
             family="tmst",
-            fixed={"r": 0.1},
+            r=0.1,
             axis1=sweep.AxisSpec("k1", 0.5, 1.0, 3000),
             axis2=sweep.AxisSpec("k2", 0.5, 1.0, 3000),
         )
     cfg = sweep.SweepConfig(
         family="tmst",
-        fixed={"r": 0.1},
+        r=0.1,
         axis1=sweep.AxisSpec("k1", 0.5, 1.0, 2000),
         axis2=sweep.AxisSpec("k2", 0.5, 1.0, 2000),
     )
@@ -142,7 +141,7 @@ def test_run_sweep_row_order_and_values():
 def test_run_sweep_bs_family():
     cfg = sweep.SweepConfig(
         family="bs",
-        fixed={"r": 0.5},
+        r=0.5,
         axis1=sweep.AxisSpec("k", 0.5, 1.0, 3),
         axis2=sweep.AxisSpec("T", 0.25, 0.75, 3),
     )
@@ -168,7 +167,7 @@ def test_run_sweep_chunking_is_invisible(monkeypatch):
 def test_region_structure_on_coarse_grids():
     tm = sweep.SweepConfig(
         family="tmst",
-        fixed={"r": 0.48},
+        r=0.48,
         axis1=sweep.AxisSpec("k1", 0.5, 2.5, 31),
         axis2=sweep.AxisSpec("k2", 0.5, 2.5, 31),
     )
@@ -178,7 +177,7 @@ def test_region_structure_on_coarse_grids():
     assert g["qt"].any() and (~g["qt"] & g["entangled"]).any()
     bsc = sweep.SweepConfig(
         family="bs",
-        fixed={"r": 0.5},
+        r=0.5,
         axis1=sweep.AxisSpec("k", 0.5, 2.0, 31),
         axis2=sweep.AxisSpec("T", 0.05, 0.95, 31),
     )
@@ -223,6 +222,34 @@ def test_json_layout():
     assert isinstance(rows[0]["entangled"], bool)
     assert rows[0]["class"] in ("Separable", "EntangledNoQT", "QTNoEPR", "EPRCorrelated")
     assert rows[0]["delta_epr"] == grid["delta_epr"][0]
+
+
+@pytest.mark.parametrize("chunk", [sweep._CHUNK, 1000])
+@pytest.mark.parametrize("family, fmt, steps", [("tmst", "csv", 201), ("bs", "json", 101)])
+def test_text_matches_the_reference_writer(monkeypatch, chunk, family, fmt, steps):
+    # 1000-row chunks end mid-axis, so rows of one axis1 value straddle them
+    monkeypatch.setattr(sweep, "_CHUNK", chunk)
+    axes = (("k1", 0.5, 2.5), ("k2", 0.5, 2.5)) if family == "tmst" else (
+        ("k", 0.5, 2.0), ("T", 0.05, 0.95))
+    cfg = sweep.SweepConfig(family=family, r=0.48, format=fmt,
+                            **{key: sweep.AxisSpec(*axis, steps)
+                               for key, axis in zip(("axis1", "axis2"), axes)})
+    conversions = []
+    real = core._column
+
+    def spy(column, fmt):
+        conversion, values = real(column, fmt)
+        conversions.append(conversion)
+        return conversion, values
+
+    monkeypatch.setattr(core, "_column", spy)
+    pieces = list(sweep.text(cfg))
+    sep = "\n" if fmt == "csv" else ",\n    "
+    want = [row for columns in sweep.run_sweep(cfg) for row in reference_rows(columns, fmt)]
+    assert "".join(pieces[1:-1]).split(sep) == want  # lists: a failure names the first row
+    assert len(want) == steps * steps
+    # bs result columns are mostly distinct, so both conversions are checked
+    assert family == "tmst" or set(conversions) == {"%s", "%.17g"}
 
 
 def test_run_sweep_takes_no_spectrum_on_an_ordinary_grid(monkeypatch):
@@ -302,7 +329,7 @@ def test_write_memory_is_bounded_by_the_chunk(tmp_path, monkeypatch, family, fmt
     monkeypatch.setattr(sweep, "_CHUNK", 1024)
     axes = (("k1", 0.5, 3.0), ("k2", 0.5, 3.0)) if family == "tmst" else (
         ("k", 0.5, 3.0), ("T", 0.05, 0.95))
-    cfg = sweep.SweepConfig(family=family, fixed={"r": 0.5}, format=fmt,
+    cfg = sweep.SweepConfig(family=family, r=0.5, format=fmt,
                             **{key: sweep.AxisSpec(*axis, 200)
                                for key, axis in zip(("axis1", "axis2"), axes)})
     path = tmp_path / f"grid.{fmt}"
@@ -318,7 +345,7 @@ def test_write_memory_is_bounded_by_the_chunk(tmp_path, monkeypatch, family, fmt
 def test_degenerate_two_by_two_grid():
     cfg = sweep.SweepConfig(
         family="tmst",
-        fixed={"r": 0.0},
+        r=0.0,
         axis1=sweep.AxisSpec("k1", 0.5, 0.6, 2),
         axis2=sweep.AxisSpec("k2", 0.5, 0.6, 2),
     )
