@@ -18,13 +18,15 @@ without it the diagrams print as ASCII maps.
 import numpy as np
 
 from gaussqt import AxisSpec, SweepConfig, run_sweep
+from gaussqt.criteria import LABELS
 
 GLYPH = {"Separable": ".", "EntangledNoQT": "e", "QTNoEPR": "q", "EPRCorrelated": "E"}
 
 
 def region_labels(config):
-    """The class of every grid point, in row order (axis2 fastest)."""
-    return np.concatenate([chunk["class"] for chunk in run_sweep(config)])
+    """The class of every grid point, in row order (axis2 fastest); a sweep's
+    class column holds codes into LABELS."""
+    return LABELS[np.concatenate([chunk["class"] for chunk in run_sweep(config)])]
 
 
 def region_codes(labels, steps):

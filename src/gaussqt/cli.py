@@ -88,7 +88,7 @@ def _print_analysis(V, args) -> int:
         return EXIT_UNPHYSICAL
     cols = criteria._evaluate(V)
     if args.format == "csv":
-        _emit(core.record_csv(criteria._row(cols)), args.out)
+        _emit(core.record_csv(criteria._row(cols), criteria._ROW_TABLES), args.out)
         return EXIT_OK
     report, label = criteria._report(cols)
     params, _ = core._canonical(V)

@@ -182,20 +182,41 @@ def ppt_nu_minus(V) -> np.ndarray | float:
     return float(nm) if nm.ndim == 0 else nm
 
 
+def _block_dets(V: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``(det A, det B, det C, det V)`` from one set of 2x2 minors: det V is the
+    Laplace expansion along rows (0, 1), six products of a minor of rows (0, 1)
+    and the complementary minor of rows (2, 3), summed pairwise.  Each of the 24
+    terms of det V carries the 2 roundings of each of its two minors, 1 of their
+    product and at most 3 of the sum, so |fl(det V) - det V| <= gamma_8 per(|V|)
+    <= gamma_8 |V|_F^4, and gamma_8 = 8u / (1 - 8u) is 4 eps to first order."""
+    v = [[V[..., i, j] for j in range(4)] for i in range(4)]
+
+    def minor(i, j, k):  # rows i, i + 1 and columns j, k
+        return v[i][j] * v[i + 1][k] - v[i][k] * v[i + 1][j]
+
+    det_a, det_c, det_b = minor(0, 0, 1), minor(0, 2, 3), minor(2, 2, 3)
+    det_v = ((det_a * det_b - minor(0, 0, 2) * minor(2, 1, 3))
+             + (minor(0, 0, 3) * minor(2, 1, 2) + minor(0, 1, 2) * minor(2, 0, 3))) + (
+        det_c * minor(2, 0, 1) - minor(0, 1, 3) * minor(2, 0, 2))
+    return det_a, det_b, det_c, det_v
+
+
 def _ppt_entangled(V: np.ndarray) -> np.ndarray:
     """PPT verdict ``ppt_nu_minus(V) < 1/2 - 1e-10`` of a physical stack, from
-    nu~^2 = 2 det V / (D + sqrt(D^2 - 4 det V)), D = det A + det B - 2 det C, with
-    error at most eps nu~^2 |V|_F^4 (1/det V + 1/(D^2 - 4 det V)), which also bounds
-    the eigen route's.  Rows within ten such bounds of the cut, or with det V <= 0,
-    take the eigen route, so every verdict is the one the eigen route gives."""
+    nu~^2 = 2 det V / (D + sqrt(disc)), D = det A + det B - 2 det C, disc = D^2 - 4 det V
+    (``_block_dets``), with error at most 5 eps nu~^2 |V|_F^4 (1/det V + 1/disc), which
+    also bounds the eigen route's.  The 5 is 4 + 1: det V's error of 4 eps |V|_F^4 moves
+    nu~^2 by at most that times nu~^2 (1/det V + 1/disc), and rounding D and disc adds
+    under eps nu~^2 |V|_F^4 / disc.  Rows within ten such bounds of the cut, or with
+    det V <= 0, take the eigen route, so every verdict is the one the eigen route gives."""
     cut2 = (0.5 - PHYSICALITY_TOL) ** 2
-    d = _det2(V[..., :2, :2]) + _det2(V[..., 2:, 2:]) - 2.0 * _det2(V[..., :2, 2:])
-    det = np.linalg.det(V)
+    det_a, det_b, det_c, det = _block_dets(V)
+    d = det_a + det_b - 2.0 * det_c
     disc = d * d - 4.0 * det
     norm4 = np.einsum("...ij,...ij->...", V, V) ** 2
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         nu2 = 2.0 * det / (d + np.sqrt(disc))
-        bound = np.finfo(float).eps * nu2 * norm4 * (1.0 / det + 1.0 / disc)
+        bound = 5.0 * np.finfo(float).eps * nu2 * norm4 * (1.0 / det + 1.0 / disc)
         sure = (det > 0.0) & (np.abs(nu2 - cut2) > 10.0 * bound)
     entangled = np.asarray(nu2 < cut2)
     if not np.all(sure):
@@ -403,57 +424,66 @@ def _token_rule(v, fmt: str):
     return fmt17
 
 
-def _template(conversions: dict, fmt: str) -> str:
-    """The given conversion for each field, by name: comma-separated values,
-    or a one-line JSON object."""
-    if fmt == "csv":
-        return ",".join(conversions.values())
-    return "{" + ", ".join(f'"{k}": {c}' for k, c in conversions.items()) + "}"
-
-
 def json_token(v) -> str:
     """One value as a JSON token (see ``_token_rule``)."""
     return _token_rule(v, "json")(v)
 
 
-def _column(column: np.ndarray, fmt: str) -> tuple[str, list]:
-    """The template conversion of one column and the row values it takes.
-    Each distinct value (floats told apart by their bits, so 0.0 and -0.0
-    keep their own tokens) is formatted once by ``_token_rule`` and its token
-    indexed per row, except in an all-finite float column with mostly
-    distinct values: there the template's ``%.17g`` writes each value as
-    fmt17 would."""
+def _column(column: np.ndarray, fmt: str, before: str = "", after: str = "",
+            table: np.ndarray | None = None) -> tuple[str, object]:
+    """The conversion of one column (``%s`` or ``%.17g``) and its row tokens,
+    each written between ``before`` and ``after``.  Each distinct value (floats
+    told apart by their bits, so 0.0 and -0.0 keep their own tokens) is
+    formatted once by ``_token_rule`` and its token indexed per row, except in
+    an all-finite float column with mostly distinct values: there ``%.17g``
+    writes each value as fmt17 would, lazily, as the rows are joined.  With a
+    ``table`` the column holds integer codes into it; a table no longer than
+    the column is formatted whole and indexed by the codes, with no sort."""
     is_float = column.dtype.kind == "f"
     key = column.view(f"i{column.itemsize}") if is_float else column
-    if column.size == 1:  # record_csv: a sort would cost more than the row
+    if table is not None and table.size <= column.size:  # every code's token, no sort
+        distinct, inverse = np.arange(table.size), column
+    elif column.size == 1:  # record_csv: a sort would cost more than the row
         distinct, inverse = key, np.zeros(1, np.intp)
     else:
         distinct, inverse = np.unique(key, return_inverse=True)
     if is_float and 2 * distinct.size > column.size and np.isfinite(column).all():
-        return "%.17g", column.tolist()
-    values = distinct.view(column.dtype).tolist()
-    tokens = np.array(list(map(_token_rule(values[0], fmt), values)), dtype=object)
+        inline = before.replace("%", "%%") + "%.17g" + after.replace("%", "%%")
+        return "%.17g", map(inline.__mod__, column.tolist())
+    values = (distinct.view(column.dtype) if table is None else table[distinct]).tolist()
+    rule = _token_rule(values[0], fmt)
+    tokens = np.array([before + rule(v) + after for v in values], dtype=object)
     return "%s", tokens[inverse].tolist()
 
 
-def rows(columns: dict, fmt: str) -> list[str]:
+def rows(columns: dict, fmt: str, tables: dict | None = None) -> list[str]:
     """Text rows of equal-length, non-empty 1-D columns, keys in dict order:
-    CSV values or one-line JSON objects.  Each distinct value is formatted
-    once (see ``_column``)."""
-    conversions, values = zip(*(_column(column, fmt) for column in columns.values()))
-    template = _template(dict(zip(columns, conversions)), fmt)
-    return [template % row for row in zip(*values)]
+    CSV values or one-line JSON objects.  A column named in ``tables`` holds
+    integer codes into the table given for it.  Each row is one join of its
+    columns' tokens, the JSON keys and braces already folded into each
+    column's tokens; each distinct value is formatted once, and a mostly
+    distinct float column is formatted inline as the rows are joined (see
+    ``_column``)."""
+    tables = tables or {}
+    if fmt == "csv":
+        sep, before, after = ",", [""] * len(columns), [""] * len(columns)
+    else:
+        sep, before, after = ", ", [f'"{k}": ' for k in columns], [""] * len(columns)
+        before[0], after[-1] = "{" + before[0], "}"
+    tokens = [_column(column, fmt, b, a, tables.get(name))[1]
+              for (name, column), b, a in zip(columns.items(), before, after)]
+    return list(map(sep.join, zip(*tokens)))
 
 
 def record_json(fields: dict) -> str:
     """A field dict as a one-line JSON object, keys in dict order."""
-    template = _template(dict.fromkeys(fields, "%s"), "json")
-    return template % tuple(map(json_token, fields.values()))
+    return "{" + ", ".join(f'"{k}": {json_token(v)}' for k, v in fields.items()) + "}"
 
 
-def record_csv(fields: dict) -> str:
-    """A field dict as a CSV header line and one row (booleans as 0/1)."""
-    row = rows({k: np.atleast_1d(v) for k, v in fields.items()}, "csv")[0]
+def record_csv(fields: dict, tables: dict | None = None) -> str:
+    """A field dict as a CSV header line and one row (booleans as 0/1; see
+    ``rows`` for ``tables``)."""
+    row = rows({k: np.atleast_1d(v) for k, v in fields.items()}, "csv", tables)[0]
     return ",".join(fields) + "\n" + row
 
 

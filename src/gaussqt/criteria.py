@@ -38,6 +38,7 @@ from .errors import NumericalDomainError
 __all__ = [
     "CriteriaReport",
     "Classification",
+    "LABELS",
     "epr_uncertainty",
     "epr_degree",
     "m_matrix",
@@ -49,9 +50,6 @@ __all__ = [
     "report_to_json",
 ]
 
-_I2 = np.eye(2)
-
-
 def _delta_raw(V: np.ndarray) -> np.ndarray:
     # <d^2(x_a - x_b)> + <d^2(p_a + p_b)> straight from the entries
     return (
@@ -60,17 +58,29 @@ def _delta_raw(V: np.ndarray) -> np.ndarray:
     )
 
 
+def _m_entries(V: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``(m00, m01, m10, m11)`` of M = A - (C sz + sz C^T) + sz B sz + I from the
+    entries of V, summed in the matrix expression's order.  The sigma_z products
+    only multiply by +-1 and 0, which is exact, so each entry is bit-identical to
+    the batched 2x2 matmuls (the trailing + I also clears their signed zeros)."""
+    a01, a10, b01, b10 = V[..., 0, 1], V[..., 1, 0], V[..., 2, 3], V[..., 3, 2]
+    c00, c01, c10, c11 = V[..., 0, 2], V[..., 0, 3], V[..., 1, 2], V[..., 1, 3]
+    cross = c10 - c01  # both off-diagonal entries of C sz + sz C^T
+    return (
+        V[..., 0, 0] - (c00 + c00) + V[..., 2, 2] + 1.0,
+        a01 - cross - b01 + 0.0,
+        a10 - cross - b10 + 0.0,
+        V[..., 1, 1] + (c11 + c11) + V[..., 3, 3] + 1.0,
+    )
+
+
 def _m_raw(V: np.ndarray) -> np.ndarray:
-    A = V[..., :2, :2]
-    B = V[..., 2:, 2:]
-    C = V[..., :2, 2:]
-    SZ = core.SIGMA_Z
-    Ct = np.swapaxes(C, -1, -2)
-    return A - (C @ SZ + SZ @ Ct) + SZ @ B @ SZ + _I2
+    return np.stack(_m_entries(V), axis=-1).reshape(V.shape[:-2] + (2, 2))
 
 
 def _det_m(V: np.ndarray) -> np.ndarray:
-    return core._det2(_m_raw(V))
+    m00, m01, m10, m11 = _m_entries(V)
+    return m00 * m11 - m01 * m10
 
 
 def _f_epr(delta: np.ndarray) -> np.ndarray:
@@ -186,6 +196,12 @@ class Classification(Enum):
     EPR_CORRELATED = "EPRCorrelated"
 
 
+# the label strings by class code: the kernel labels rows with int8 codes into
+# this table, which the writers and ``classify`` look up
+LABELS = np.array([c.value for c in Classification])
+_CODE = {c: np.int8(i) for i, c in enumerate(Classification)}
+
+
 class Columns(NamedTuple):
     """Column arrays of evaluated states, one entry per matrix in the stack."""
 
@@ -196,13 +212,16 @@ class Columns(NamedTuple):
     entangled: np.ndarray
     epr: np.ndarray
     qt: np.ndarray
-    labels: np.ndarray
+    codes: np.ndarray  # int8 codes into LABELS
 
 
 # the per-state output row, output name -> Columns field, in output order
 _ROW_SCHEMA = {"delta_epr": "delta_epr", "f_epr": "f_epr", "det_m": "det_m",
                "fidelity": "fidelity", "entangled": "entangled", "epr": "epr", "qt": "qt",
-               "class": "labels"}
+               "class": "codes"}
+
+# the code tables of the output row, for the writers
+_ROW_TABLES = {"class": LABELS}
 
 
 def _row(cols) -> dict:
@@ -212,9 +231,9 @@ def _row(cols) -> dict:
 
 # the first true condition names the region; entangled and not QT otherwise
 _PRECEDENCE = (
-    Classification.SEPARABLE.value,
-    Classification.EPR_CORRELATED.value,
-    Classification.QT_NO_EPR.value,
+    _CODE[Classification.SEPARABLE],
+    _CODE[Classification.EPR_CORRELATED],
+    _CODE[Classification.QT_NO_EPR],
 )
 
 
@@ -225,10 +244,8 @@ def _evaluate(V: np.ndarray) -> Columns:
     entangled = core._ppt_entangled(V)
     epr = delta < 2.0
     qt = det_m < 4.0
-    labels = np.select(
-        [~entangled, epr, qt], _PRECEDENCE, Classification.ENTANGLED_NO_QT.value
-    )
-    return Columns(delta, _f_epr(delta), det_m, _fidelity(det_m), entangled, epr, qt, labels)
+    codes = np.select([~entangled, epr, qt], _PRECEDENCE, _CODE[Classification.ENTANGLED_NO_QT])
+    return Columns(delta, _f_epr(delta), det_m, _fidelity(det_m), entangled, epr, qt, codes)
 
 
 def _report(cols: Columns) -> tuple[CriteriaReport, Classification]:
@@ -242,11 +259,11 @@ def _report(cols: Columns) -> tuple[CriteriaReport, Classification]:
         epr_correlated=bool(cols.epr),
         qt=bool(cols.qt),
     )
-    return report, Classification(str(cols.labels))
+    return report, Classification(LABELS[cols.codes])
 
 
 _UNPHYSICAL_ROW = Columns(math.nan, math.nan, math.nan, math.nan, False, False, False,
-                          Classification.UNPHYSICAL.value)
+                          _CODE[Classification.UNPHYSICAL])
 
 
 def classify(V):
@@ -285,7 +302,7 @@ def classify(V):
         return _report(cols)
     report = CriteriaReport(cols.delta_epr, cols.f_epr, cols.det_m, cols.fidelity,
                             cols.entangled, cols.epr, cols.qt)
-    return report, cols.labels
+    return report, LABELS[cols.codes]
 
 
 def report_to_json(report: CriteriaReport) -> str:

@@ -5,8 +5,9 @@ axes (tmst: k1, k2; bs: k, T), evaluating the EPR uncertainty, det M,
 fidelity and the three verdict flags at every grid point through
 ``criteria._evaluate``, the package's one evaluation path.  The sweep is
 one stream: ``run_sweep`` yields one dict of column arrays per chunk of
-rows (axis1, axis2 and the kernel's output row, ``criteria._ROW_SCHEMA``),
-and ``text``/``write`` format each chunk as CSV or JSON as it arrives, so
+rows (axis1, axis2 and the kernel's output row, ``criteria._ROW_SCHEMA``,
+whose ``class`` column holds int8 codes into ``criteria.LABELS``), and
+``text``/``write`` format each chunk as CSV or JSON as it arrives, so
 nothing grows with the grid.  Rows are ordered with axis2 varying fastest.
 Sweep rows skip the physicality check, so a strongly squeezed row that
 ``classify`` reads as Unphysical through rounding gets a verdict here (see
@@ -114,7 +115,8 @@ class SweepConfig:
 def run_sweep(config: SweepConfig):
     """Evaluate the grid chunk by chunk, in row order (axis2 fastest): for
     each _CHUNK rows yield a dict of column arrays, axis1, axis2 and the
-    kernel's output row by output name."""
+    kernel's output row by output name (``class`` as codes into
+    ``criteria.LABELS``)."""
     v1, v2 = config.axis1.values(), config.axis2.values()
     r = float(config.r)
     build = _FAMILIES[config.family][1]
@@ -137,6 +139,8 @@ def text(config: SweepConfig):
             {"family": config.family, "fixed": {"r": float(config.r)}, **axes}
         ) + ',\n  "rows": [\n    '
         sep, tail = ",\n    ", "\n  ]\n}\n"
+    tables = {"axis1": config.axis1.values(), "axis2": config.axis2.values(),
+              **criteria._ROW_TABLES}
     chunks = run_sweep(config)
     yield head
     for lo in range(0, config.size, _CHUNK):
@@ -144,8 +148,16 @@ def text(config: SweepConfig):
             yield sep
         # format next(chunks) in place: a loop variable would keep the
         # previous chunk alive while the next one is computed
-        yield sep.join(core.rows(next(chunks), config.format))
+        yield sep.join(core.rows(_axis_codes(next(chunks), lo, config.axis2.steps),
+                                 config.format, tables))
     yield tail
+
+
+def _axis_codes(chunk: dict, lo: int, steps2: int) -> dict:
+    """``chunk`` (rows from ``lo``) with its axes as codes into the axis values,
+    so the writer formats each axis value once per chunk without a sort."""
+    chunk["axis1"], chunk["axis2"] = np.divmod(np.arange(lo, lo + chunk["axis1"].size), steps2)
+    return chunk
 
 
 def write(config: SweepConfig, path) -> None:

@@ -114,13 +114,29 @@ def epr_combo_variance(V):
     )
 
 
-def reference_rows(columns, fmt):
+def m_matmul(V):
+    """Teleportation matrix by the defining expression, with sigma_z products
+    as batched 2x2 matmuls: the order of operations the package's entrywise
+    M must reproduce bit for bit."""
+    V = np.asarray(V, dtype=float)
+    A, B, C = V[..., :2, :2], V[..., 2:, 2:], V[..., :2, 2:]
+    sz = np.diag([1.0, -1.0])
+    return A - (C @ sz + sz @ np.swapaxes(C, -1, -2)) + sz @ B @ sz + np.eye(2)
+
+
+def reference_rows(columns, fmt, tables=None):
     """``core.rows`` one value at a time: each value's own ``_token_rule``
-    token, then one ``%s`` per field of the row template.  The token rules
-    are the package's by design; what this checks is the writer's
-    deduplication and its inline conversions."""
+    token (a coded column's value looked up in its table first), then one
+    ``%s`` per field of a row template written here.  The token rules are the
+    package's by design; what this checks is the writer's deduplication, its
+    inline conversions and its joins."""
     from gaussqt import core
 
-    template = core._template(dict.fromkeys(columns, "%s"), fmt)
-    values = [np.asarray(column).tolist() for column in columns.values()]
+    tables = tables or {}
+    if fmt == "csv":
+        template = ",".join(["%s"] * len(columns))
+    else:
+        template = "{" + ", ".join(f'"{k.replace("%", "%%")}": %s' for k in columns) + "}"
+    values = [(np.asarray(tables[k])[column] if k in tables else np.asarray(column)).tolist()
+              for k, column in columns.items()]
     return [template % tuple(core._token_rule(v, fmt)(v) for v in row) for row in zip(*values)]

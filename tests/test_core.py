@@ -1,8 +1,10 @@
 """Validity, symplectic spectra, separability verdicts, standard form, JSON, row writer."""
 
 import decimal
+import itertools
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -323,6 +325,39 @@ def test_closed_form_ppt_verdict_falls_back_on_exactly_the_uncleared_rows(rng, m
     assert not got[-2:].any()
 
 
+def exact_det_and_permanent(V):
+    """det V and per(|V|) of one 4x4 matrix, exactly, over the 24 permutations."""
+    M = [[Fraction(x) for x in row] for row in V.tolist()]
+    det = per = Fraction(0)
+    for p in itertools.permutations(range(4)):
+        sign = (-1) ** sum(p[i] > p[j] for i in range(4) for j in range(i + 1, 4))
+        term = M[0][p[0]] * M[1][p[1]] * M[2][p[2]] * M[3][p[3]]
+        det += sign * term
+        per += abs(term)
+    return det, per
+
+
+def test_laplace_det_stays_within_its_bound(rng):
+    u = Fraction(2) ** -53
+    gamma8 = 8 * u / (1 - 8 * u)
+    n = 400
+    stacks = {
+        "random physical": sampling.random_physical_covmats(rng, n),
+        "separable": sampling.random_separable_covmats(rng, n),
+        "random signed": rng.normal(size=(n, 4, 4)),
+        "large norm": rng.normal(size=(n, 4, 4)) * 10.0 ** rng.uniform(0.0, 70.0, (n, 1, 1)),
+        "TMSV r <= 17": resources.tmst_covmat(np.linspace(0.0, 17.0, n), 0.5, 0.5),
+    }
+    for name, V in stacks.items():
+        det_a, det_b, det_c, det = core._block_dets(V)
+        for block, got in ((V[:, :2, :2], det_a), (V[:, 2:, 2:], det_b), (V[:, :2, 2:], det_c)):
+            assert np.array_equal(got, core._det2(block)), name
+        for i in range(n):
+            exact, per = exact_det_and_permanent(V[i])
+            norm4 = sum(Fraction(x) ** 2 for x in V[i].ravel().tolist()) ** 2
+            assert abs(Fraction(det[i]) - exact) <= gamma8 * per <= gamma8 * norm4, (name, i)
+
+
 # -------------------------------------------------------- canonical form
 
 
@@ -479,9 +514,9 @@ SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 1e75, -1e75,
 LABELS = np.array(["Separable", "EntangledNoQT", "QTNoEPR", "EPRCorrelated", "Unphysical"])
 
 
-def assert_rows_match_reference(columns):
+def assert_rows_match_reference(columns, tables=None):
     for fmt in ("csv", "json"):
-        assert core.rows(columns, fmt) == reference_rows(columns, fmt), fmt
+        assert core.rows(columns, fmt, tables) == reference_rows(columns, fmt, tables), fmt
 
 
 def conversion(column):
@@ -512,6 +547,8 @@ def test_rows_match_reference_on_special_values(rng):
     signed_zeros = np.resize([0.0, -0.0], n)
     assert conversion(distinct) == "%.17g"
     assert conversion(repeated) == conversion(signed_zeros) == "%s"
+    inline = core._column(distinct, "json", '"x": ', "}")[1]
+    assert iter(inline) is inline  # formatted as the rows are joined, not held as a list
     assert core.rows({"z": signed_zeros}, "csv")[:2] == ["0", "-0"]
     assert_rows_match_reference({
         "distinct": distinct,
@@ -520,8 +557,10 @@ def test_rows_match_reference_on_special_values(rng):
         "equal": np.full(n, 1 / 3),
         "bool": rng.random(n) < 0.5,
         "label": LABELS[rng.integers(0, LABELS.size, n)],
+        "code": rng.integers(0, LABELS.size, n).astype(np.int8),
         "int": rng.integers(-3, 3, n),
-    })
+        "100%": distinct[::-1],  # a key the inline format must escape
+    }, {"code": LABELS})
 
 
 def test_rows_match_reference_with_non_finite_values(rng):
@@ -544,16 +583,22 @@ def test_rows_match_reference_either_side_of_the_distinct_count_switch(rng):
     past_half = np.resize(values[:7], n)  # 7 of 12: formatted inline
     assert conversion(at_half) == "%s"
     assert conversion(past_half) == "%.17g"
+    long_table = rng.normal(size=3 * n)  # longer than the column: its codes are sorted
     assert_rows_match_reference({"at_half": at_half, "past_half": past_half,
-                                 "flags": np.resize([True, False, False], n)})
+                                 "flags": np.resize([True, False, False], n),
+                                 "coded": rng.integers(0, long_table.size, n)},
+                                {"coded": long_table})
 
 
 def test_one_row_columns_match_reference():
     for x in [*SPECIAL, np.nan, np.inf, -np.inf]:
-        fields = {"x": x, "flag": np.bool_(x > 0), "label": "QTNoEPR", "n": 7}
+        fields = {"x": x, "flag": np.bool_(x > 0), "label": "QTNoEPR", "n": 7,
+                  "code": np.int8(3)}
+        tables = {"code": LABELS}
         columns = {k: np.atleast_1d(v) for k, v in fields.items()}
-        assert_rows_match_reference(columns)
-        assert core.record_csv(fields) == "x,flag,label,n\n" + reference_rows(columns, "csv")[0]
+        assert_rows_match_reference(columns, tables)
+        assert core.record_csv(fields, tables) == (
+            "x,flag,label,n,code\n" + reference_rows(columns, "csv", tables)[0])
 
 
 # ------------------------------------------------------------ properties

@@ -14,7 +14,7 @@ import gaussqt.criteria as criteria
 import gaussqt.resources as resources
 import gaussqt.sampling as sampling
 from gaussqt.errors import PreconditionFailed
-from conftest import epr_combo_variance, m_entries, two_mode_squeezer
+from conftest import epr_combo_variance, m_entries, m_matmul, two_mode_squeezer
 
 VACUUM = 0.5 * np.eye(4)
 
@@ -104,6 +104,39 @@ def test_m_matrix_matches_entry_arithmetic(rng):
     assert Ms.shape == (500, 2, 2)
     assert np.max(np.abs(Ms - m_entries(Vs))) < 1e-12
     assert np.array_equal(Ms, np.swapaxes(Ms, -1, -2))
+
+
+def bits(x):
+    return np.asarray(x).view(np.int64)
+
+
+def test_entrywise_m_is_bit_identical_to_the_matmul_expression(rng):
+    n = 20_000
+    signs = rng.choice([0.0, -0.0], (n, 4, 4))
+    signed_zero_vacuum = np.triu(signs, 1) + np.swapaxes(np.triu(signs, 1), -1, -2)
+    signed_zero_vacuum[:, range(4), range(4)] = 0.5
+    physical = {
+        "random physical": sampling.random_physical_covmats(rng, n),
+        "separable": sampling.random_separable_covmats(rng, n),
+        "bs": resources.bs_covmat(rng.uniform(0.0, 2.0, n), rng.uniform(0.5, 5.0, n),
+                                  rng.uniform(0.01, 0.99, n)),
+        "vacuum with signed zeros": signed_zero_vacuum,
+    }
+    stacks = {
+        **physical,
+        "TMSV r <= 17": resources.tmst_covmat(np.linspace(0.0, 17.0, n), 0.5, 0.5),
+        # mostly +-0 entries, so every sum in M meets a signed zero
+        "signed zeros": rng.choice([0.0, -0.0, 0.0, -0.0, 1.0, -1.0, 0.5, -2.0], (n, 4, 4)),
+    }
+    for name, V in stacks.items():
+        want = m_matmul(V)
+        det = want[..., 0, 0] * want[..., 1, 1] - want[..., 0, 1] * want[..., 1, 0]
+        assert np.array_equal(bits(criteria._m_raw(V)), bits(want)), name
+        assert np.array_equal(bits(criteria._det_m(V)), bits(det)), name
+    for name, V in physical.items():
+        assert np.array_equal(bits(criteria.m_matrix(V)), bits(m_matmul(V))), name
+    one = physical["random physical"][0]
+    assert np.array_equal(bits(criteria.m_matrix(one)), bits(m_matmul(one)))
 
 
 def test_m_matrix_dominates_identity(rng):

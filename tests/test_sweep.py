@@ -135,7 +135,7 @@ def test_run_sweep_row_order_and_values():
         assert grid["entangled"][i] == rep.entangled
         assert grid["epr"][i] == rep.epr_correlated
         assert grid["qt"][i] == rep.qt
-        assert grid["class"][i] == lab.value
+        assert criteria.LABELS[grid["class"][i]] == lab.value
 
 
 def test_run_sweep_bs_family():
@@ -161,7 +161,7 @@ def test_run_sweep_chunking_is_invisible(monkeypatch):
     assert np.array_equal(whole["delta_epr"], chunked["delta_epr"])
     assert np.array_equal(whole["fidelity"], chunked["fidelity"])
     assert np.array_equal(whole["entangled"], chunked["entangled"])
-    assert np.array_equal(whole["class"], chunked["class"])
+    assert np.array_equal(criteria.LABELS[whole["class"]], criteria.LABELS[chunked["class"]])
 
 
 def test_region_structure_on_coarse_grids():
@@ -237,15 +237,16 @@ def test_text_matches_the_reference_writer(monkeypatch, chunk, family, fmt, step
     conversions = []
     real = core._column
 
-    def spy(column, fmt):
-        conversion, values = real(column, fmt)
+    def spy(*args):
+        conversion, tokens = real(*args)
         conversions.append(conversion)
-        return conversion, values
+        return conversion, tokens
 
     monkeypatch.setattr(core, "_column", spy)
     pieces = list(sweep.text(cfg))
     sep = "\n" if fmt == "csv" else ",\n    "
-    want = [row for columns in sweep.run_sweep(cfg) for row in reference_rows(columns, fmt)]
+    want = [row for columns in sweep.run_sweep(cfg)
+            for row in reference_rows(columns, fmt, {"class": criteria.LABELS})]
     assert "".join(pieces[1:-1]).split(sep) == want  # lists: a failure names the first row
     assert len(want) == steps * steps
     # bs result columns are mostly distinct, so both conversions are checked
@@ -350,4 +351,4 @@ def test_degenerate_two_by_two_grid():
         axis2=sweep.AxisSpec("k2", 0.5, 0.6, 2),
     )
     assert len(text(cfg).strip().split("\n")) == 5
-    assert np.all(columns(cfg)["class"] == "Separable")  # no squeezing, thermal states
+    assert np.all(criteria.LABELS[columns(cfg)["class"]] == "Separable")  # no squeezing, thermal states
