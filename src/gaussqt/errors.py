@@ -18,4 +18,4 @@ class QuadratureWarning(UserWarning):
 
 
 class GridSizeError(InvalidInput):
-    """Sweep grid exceeds the point budget."""
+    """A sweep or quadrature grid exceeds the point budget."""

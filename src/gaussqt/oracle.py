@@ -20,6 +20,12 @@ Gaussian exp(-|lambda|^2 - u^T V u / 2); since V >= i Omega/2 implies
 |chi| <= 1, truncating to the square [-R, R]^2 leaves a tail of at most
 1 - erf(R)^2, which is folded into the error estimate alongside the
 two-resolution Richardson difference.
+
+``_integrate`` sums u^T V u from broadcast 1-D factors, one term
+(u_i V_ij) u_j at a time, i outer and j inner: einsum's order, so the bits
+equal the (n, n, 4) einsum form kept in ``tests/conftest.py``.  Unlike
+einsum, broadcast products warn, so an overflowing grid runs the quadratic
+form under ``np.errstate`` and fails as one NumericalDomainError.
 """
 
 from __future__ import annotations
@@ -32,7 +38,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import require_physical
-from .errors import InvalidInput, NumericalDomainError, QuadratureWarning
+from .errors import GridSizeError, InvalidInput, NumericalDomainError, QuadratureWarning
+from .sweep import MAX_GRID_POINTS
 
 __all__ = [
     "QuadratureSpec",
@@ -49,7 +56,8 @@ _SQRT2 = math.sqrt(2.0)
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Truncation radius, per-axis point count, and quadrature rule."""
+    """Truncation radius, per-axis point count, and quadrature rule; the
+    points_per_axis^2 nodes share the sweep's MAX_GRID_POINTS budget."""
 
     radius: float = 6.0
     points_per_axis: int = 401
@@ -62,6 +70,9 @@ class QuadratureSpec:
         n = self.points_per_axis
         if not (isinstance(n, int) and n >= 51):
             raise InvalidInput("points_per_axis must be an integer >= 51")
+        if n * n > MAX_GRID_POINTS:
+            raise GridSizeError(f"quadrature grid of {n * n} points exceeds the "
+                                f"{MAX_GRID_POINTS} point budget")
         if self.rule not in _RULES:
             raise InvalidInput(f"rule must be one of {_RULES}")
         if self.rule == "midpoint" and n % 2 == 0:
@@ -108,11 +119,22 @@ def _nodes(radius: float, n: int, rule: str) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _integrate(V: np.ndarray, radius: float, n: int, rule: str) -> float:
+    """Quadrature over the n x n grid, Re l on axis 0 and Im l on axis 1.
+
+    Order contract: q is summed term by term, i outer and j inner, to keep
+    einsum's bits; errstate silences inf * 0 on an inf-node grid, as einsum
+    did, and the caller raises on the non-finite value.
+    """
     x, w = _nodes(radius, n, rule)
-    re, im = np.meshgrid(x, x, indexing="ij")
-    u = _displacement(re, im)
-    q = np.einsum("...i,ij,...j->...", u, V, u)
-    integrand = np.exp(-(re * re + im * im) - 0.5 * q)
+    d = _displacement(x, x).T  # u's entries: Im l (0, 2) on axis 1, Re l on axis 0
+    u = (d[0][None, :], d[1][:, None], d[2][None, :], d[3][:, None])
+    q = np.zeros((n, n))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(4):
+            for j in range(4):
+                q += (u[i] * V[i, j]) * u[j]
+    sq = x * x
+    integrand = np.exp(-(sq[:, None] + sq[None, :]) - 0.5 * q)
     # np.sum reduces pairwise, keeping the result order-independent
     return float(np.sum(integrand * np.outer(w, w))) / math.pi
 

@@ -4,6 +4,8 @@ import contextlib
 import io
 import json
 import math
+import os
+import resource
 import subprocess
 import sys
 import tempfile
@@ -312,6 +314,29 @@ def test_oracle_bad_spec_exit_3(capsys):
         "--points", "10",
     )
     assert code == cli.EXIT_BAD_INPUT
+
+
+def _address_space_1gib():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def test_oracle_grid_budget_exit_4_with_one_line():
+    # 100001^2 nodes would be ~80 GB per array: the child's address space is
+    # capped at 1 GiB so a missing budget check fails with MemoryError (exit
+    # 1), never by filling the machine's memory; BLAS runs one thread so its
+    # per-thread stacks and arenas fit under the cap on any core count
+    env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-m", "gaussqt", "oracle", "tmst", "--r", "0.5", "--k1", "0.5",
+         "--k2", "0.5", "--points", "100001"],
+        capture_output=True, text=True, env=env, preexec_fn=_address_space_1gib,
+    )
+    assert proc.returncode == cli.EXIT_GRID_TOO_LARGE
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "exceeds the 4000000 point budget" in lines[0]
 
 
 # ------------------------------------------------------------- plumbing

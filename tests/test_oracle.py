@@ -1,6 +1,7 @@
 """Characteristic-function quadrature cross-check of the fidelity formula."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,8 +11,9 @@ import gaussqt.criteria as criteria
 import gaussqt.oracle as oracle
 import gaussqt.resources as resources
 import gaussqt.sampling as sampling
-from gaussqt.errors import InvalidInput, QuadratureWarning
-from conftest import two_mode_squeezer
+from gaussqt.errors import GridSizeError, InvalidInput, QuadratureWarning
+from gaussqt.sweep import MAX_GRID_POINTS
+from conftest import integrate_einsum, two_mode_squeezer
 
 VACUUM = 0.5 * np.eye(4)
 
@@ -50,6 +52,13 @@ def test_quadrature_spec_validation():
         oracle.QuadratureSpec(rule="simpson")
     spec = oracle.QuadratureSpec(points_per_axis=100, rule="gauss-legendre")
     assert spec.points_per_axis == 100
+    # the sweep's point budget: 1999^2 and 2000^2 fit, 2001^2 does not
+    assert 2000 ** 2 == MAX_GRID_POINTS
+    oracle.QuadratureSpec(points_per_axis=1999)
+    oracle.QuadratureSpec(points_per_axis=2000, rule="gauss-legendre")
+    for n, rule in ((2001, "midpoint"), (2002, "gauss-legendre"), (100_001, "midpoint")):
+        with pytest.raises(GridSizeError, match="exceeds the 4000000 point budget"):
+            oracle.QuadratureSpec(points_per_axis=n, rule=rule)
     assert oracle.DEFAULT_SPEC.radius == 6.0
     assert oracle.DEFAULT_SPEC.points_per_axis == 401
 
@@ -165,6 +174,51 @@ def test_quadrature_is_deterministic():
     b = oracle.fidelity_by_quadrature(V)
     assert a.value == b.value
     assert a.est_error == b.est_error
+
+
+def bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+def test_integrate_is_bit_identical_to_the_einsum_form(rng):
+    states = [
+        *sampling.random_physical_covmats(rng, 4),
+        *sampling.random_separable_covmats(rng, 3),
+        *resources.tmst_covmat(np.array([0.3, 1.1, 2.0]), np.array([0.5, 1.7, 0.9]),
+                               np.array([0.5, 0.6, 2.4])),
+        *resources.bs_covmat(np.array([0.5, 1.5]), np.array([0.5, 2.0]),
+                             np.array([0.3, 0.8])),
+        VACUUM,
+    ]
+    grids = [("midpoint", n) for n in (51, 201, 401)]
+    grids += [("gauss-legendre", n) for n in (100, 200)]
+    for rule, n in grids:
+        for radius in (3.0, 6.0, 9.0):
+            for k, V in enumerate(states):
+                got = oracle._integrate(V, radius, n, rule)
+                want = integrate_einsum(V, radius, n, rule)
+                assert bits(got) == bits(want), (rule, n, radius, k)
+    # cf_value's displacement on the meshgrid is the broadcast of the 1-D
+    # factors _integrate builds, so the two cannot drift apart
+    x = np.linspace(-6.0, 6.0, 51)
+    re, im = np.meshgrid(x, x, indexing="ij")
+    p, m = math.sqrt(2.0) * x, math.sqrt(2.0) * -x
+    factors = np.stack(np.broadcast_arrays(p[None, :], m[:, None], m[None, :],
+                                           m[:, None]), axis=-1)
+    assert np.array_equal(bits(oracle._displacement(re, im)), bits(factors))
+
+
+def test_integrate_peak_memory_stays_below_five_grids():
+    # the (n, n, 4) displacement stack and einsum peaked near 9 n^2 doubles
+    n = 401
+    V = resources.tmst_covmat(0.5, 1.5, 0.75)
+    tracemalloc.start()
+    try:
+        oracle._integrate(V, 6.0, n, "midpoint")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * n * n * 8
 
 
 def test_quadrature_against_adaptive_integrator():
