@@ -406,11 +406,17 @@ def fmt17(x) -> str:
 
 _BOOLS = {"csv": {False: "0", True: "1"}, "json": {False: "false", True: "true"}}
 
+# the values of a flag column's uint8 view: flags are codes into this table
+_FLAGS = np.array([False, True])
+
 
 def _token_rule(v, fmt: str):
     """The function writing values like ``v`` as tokens, the one statement of
     the token rules: floats via fmt17, booleans 0/1 or true/false, strings
-    (labels, identifiers) bare or quoted unescaped, None and dicts JSON only."""
+    (labels, identifiers) bare or quoted unescaped, None and dicts JSON only.
+    The row writer's floats take ``_fmt17_tokens``, which writes what fmt17
+    writes: in numpy for normal |x| in [2**-36, 2**51), through fmt17 one value
+    at a time outside it."""
     if v is None:
         return lambda _: "null"
     if isinstance(v, (bool, np.bool_)):
@@ -429,31 +435,178 @@ def json_token(v) -> str:
     return _token_rule(v, "json")(v)
 
 
+# The exact window of the vectorised fmt17: normal floats with 2**-36 <= |x| < 2**51
+# (about 1.5e-11 to 2.3e15).  Their 17-digit decimal exponent X lies in [-11, 15], so
+# with k = 16 - X and x = M 2**E (M < 2**53) the digits are x 10**k = M 5**k / 2**s
+# rounded half to even, where 5**k < 2**63 and the shift s = -(E + k) is in [1, 62].
+# Zeros, subnormals, non-finite values and the rest go through fmt17 one at a time.
+_WINDOW = (2.0**-36, 2.0**51)
+_POW5 = np.array([5**k for k in range(28)], dtype=np.uint64)
+
+
+def _ceil_pow10(e: int) -> float:
+    """The smallest float at or above 10**e."""
+    num, den = (10**e, 1) if e >= 0 else (1, 10**-e)
+    c = num / den  # correctly rounded
+    p, q = c.as_integer_ratio()
+    return c if p * den >= num * q else math.nextafter(c, math.inf)
+
+
+# |x| >= 10**e exactly iff |x| >= _TEN[e + 12], for e in [-12, 17]
+_TEN = np.array([_ceil_pow10(e) for e in range(-12, 18)])
+
+
+def _layout(x: int) -> list:
+    """The rows of ``_fmt17_block``'s character matrix that spell a %.17g token
+    with decimal exponent x in [-11, 15]: 0 the sign, 1-17 the digits, 18 the
+    point, 19-28 '0' to '9', 29 'e', 30 '-'."""
+    if x >= 0:  # ddd.ddd
+        return [0, *range(1, x + 2), 18, *range(x + 2, 18)]
+    if x >= -4:  # 0.00ddd
+        return [0, 19, 18, *[19] * (-x - 1), *range(1, 18)]
+    return [0, 1, 18, *range(2, 18), 29, 30, 19 + -x // 10, 19 + -x % 10]  # d.ddde-XX
+
+
+_LAYOUTS = [_layout(x) for x in range(-11, 16)]
+_CONSTANT_ROWS = np.frombuffer(b"0123456789e-", np.uint8)[:, None]
+_DIGIT_ROWS = np.arange(17, dtype=np.uint8)[:, None]
+_LOW32, _U32, _U64, _U1 = np.uint64(0xFFFFFFFF), np.uint64(32), np.uint64(64), np.uint64(1)
+_E8, _E16 = np.uint64(10**8), np.uint64(10**16)
+# values per character matrix, which then holds about 200 kB
+_FMT_BLOCK = 4096
+
+
+def _fmt17_tokens(values: np.ndarray, before: str = "", after: str = "") -> np.ndarray:
+    """``before + fmt17(v) + after`` for each value of a 1-D float array, byte for
+    byte, as an object array.  Values in ``_WINDOW`` are formatted by
+    ``_fmt17_block`` in blocks of one decimal exponent after another; the rest
+    one at a time by fmt17."""
+    x = np.asarray(values, dtype=np.float64)
+    tokens = np.empty(x.size, dtype=object)
+    a = np.abs(x)
+    inside = (a >= _WINDOW[0]) & (a < _WINDOW[1])
+    outside = np.flatnonzero(~inside)
+    tokens[outside] = [before + fmt17(v) + after for v in x[outside].tolist()]
+    at = np.flatnonzero(inside)
+    a = a[at]
+    # the decimal exponent floor(log10 |x|), exact after one step against the powers of ten
+    e10 = np.floor(np.log10(a)).astype(np.int8)
+    up, down = a >= _TEN[e10 + 13], a < _TEN[e10 + 12]
+    e10 += up
+    e10 -= down
+    order = np.argsort(e10, kind="stable")
+    at, e10 = at[order], e10[order]
+    head, tail = before.encode(), after.encode()
+    for lo in range(0, at.size, _FMT_BLOCK):
+        block = at[lo:lo + _FMT_BLOCK]
+        tokens[block] = _fmt17_block(x[block], e10[lo:lo + _FMT_BLOCK], head, tail)
+    return tokens
+
+
+def _fmt17_block(x: np.ndarray, e10: np.ndarray, head: bytes, tail: bytes) -> list[str]:
+    """The tokens of values in ``_WINDOW`` with decimal exponents ``e10``, each
+    between the UTF-8 ``head`` and ``tail``.  The 17 digits come from a 128-bit
+    product in 32-bit limbs, then a shift with a half bit and a sticky bit; they
+    go into a character matrix, one row per character and one column per value,
+    whose trailing fractional zeros become NULs; each run of one exponent is laid
+    out by one row permutation, and the NULs are dropped from the joined bytes."""
+    n = x.size
+    k = 16 - e10.astype(np.intp)
+    m, e = np.frexp(np.abs(x))
+    mant = (m * 2.0**53).astype(np.uint64)
+    shift = (53 - k - e).astype(np.uint64)
+    p = _POW5[k]
+    ml, mh, pl, ph = mant & _LOW32, mant >> _U32, p & _LOW32, p >> _U32
+    ll, lh, hl = ml * pl, ml * ph, mh * pl
+    mid = (ll >> _U32) + (lh & _LOW32) + (hl & _LOW32)
+    low = (mid << _U32) | (ll & _LOW32)  # mant * p = high 2**64 + low
+    high = mh * ph + (lh >> _U32) + (hl >> _U32) + (mid >> _U32)
+    d = (high << (_U64 - shift)) | (low >> shift)
+    half = (low >> (shift - _U1)) & _U1
+    sticky = (low & ((_U1 << (shift - _U1)) - _U1)) != 0
+    # no float below a power of ten in the window rounds up to it at 17 digits (checked
+    # on the largest float below each), so d < 10**17 and e10 stands
+    d += half & ((d | sticky) & _U1)
+
+    chars = np.empty((31, n), np.uint8)
+    chars[0] = (x < 0).view(np.uint8) * np.uint8(ord("-"))
+    chars[19:] = _CONSTANT_ROWS
+    digits = chars[1:18]
+    digits[0] = d // _E16
+    rest = d - digits[0] * _E16
+    v = np.empty((2, n), np.uint32)
+    v[0] = rest // _E8
+    v[1] = rest - v[0] * _E8
+    halves = digits[1:].reshape(2, 8, n)
+    for j in range(7, -1, -1):
+        q = v // np.uint32(10)
+        halves[:, j] = v - q * np.uint32(10)
+        v = q
+    last = (_DIGIT_ROWS * (digits != 0)).max(axis=0)  # the last non-zero digit
+    digits += ord("0")
+    digits *= _DIGIT_ROWS <= np.maximum(last, e10)
+
+    runs = [0, *(np.flatnonzero(np.diff(e10)) + 1).tolist(), n]
+    width = max(len(_LAYOUTS[e10[r] + 11]) for r in runs[:-1])
+    start = len(head)
+    out = np.zeros((start + width + len(tail) + 1, n), np.uint8)
+    out[:start] = np.frombuffer(head, np.uint8)[:, None]
+    out[start + width:-1] = np.frombuffer(tail, np.uint8)[:, None]
+    out[-1] = ord("\n")
+    for r0, r1 in zip(runs, runs[1:]):
+        layout = _LAYOUTS[e10[r0] + 11]
+        run = chars[:, r0:r1]
+        # a point with only NULs after it is not written
+        run[18] = (run[layout[layout.index(18) + 1]] != 0).view(np.uint8) * np.uint8(ord("."))
+        out[start:start + len(layout), r0:r1] = run[layout]
+    text = out.T.tobytes().translate(None, b"\0").decode()
+    del out, chars
+    return text.split("\n")[:-1]
+
+
 def _column(column: np.ndarray, fmt: str, before: str = "", after: str = "",
-            table: np.ndarray | None = None) -> tuple[str, object]:
-    """The conversion of one column (``%s`` or ``%.17g``) and its row tokens,
-    each written between ``before`` and ``after``.  Each distinct value (floats
-    told apart by their bits, so 0.0 and -0.0 keep their own tokens) is
-    formatted once by ``_token_rule`` and its token indexed per row, except in
-    an all-finite float column with mostly distinct values: there ``%.17g``
-    writes each value as fmt17 would, lazily, as the rows are joined.  With a
-    ``table`` the column holds integer codes into it; a table no longer than
-    the column is formatted whole and indexed by the codes, with no sort."""
-    is_float = column.dtype.kind == "f"
-    key = column.view(f"i{column.itemsize}") if is_float else column
-    if table is not None and table.size <= column.size:  # every code's token, no sort
-        distinct, inverse = np.arange(table.size), column
-    elif column.size == 1:  # record_csv: a sort would cost more than the row
-        distinct, inverse = key, np.zeros(1, np.intp)
+            table: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """One column's tokens, each written between ``before`` and ``after``, and its
+    rows' codes into them.  Each distinct value is formatted once: floats (told
+    apart by their bits, so 0.0 and -0.0 keep their own tokens) by
+    ``_fmt17_tokens``, exact in numpy for |x| in [2**-36, 2**51) and fmt17 one at a
+    time outside it, and other values by ``_token_rule``.  A flag column is codes
+    into ``_FLAGS`` through its uint8 view.  With a ``table`` the column holds
+    integer codes into it; a table no longer than the column is formatted whole
+    and indexed by the codes, with no sort."""
+    if column.dtype == bool:
+        column, table = column.view(np.uint8), _FLAGS
+    if table is not None and table.size <= column.size:
+        values, codes = table, column
     else:
-        distinct, inverse = np.unique(key, return_inverse=True)
-    if is_float and 2 * distinct.size > column.size and np.isfinite(column).all():
-        inline = before.replace("%", "%%") + "%.17g" + after.replace("%", "%%")
-        return "%.17g", map(inline.__mod__, column.tolist())
-    values = (distinct.view(column.dtype) if table is None else table[distinct]).tolist()
+        key = column.view(f"i{column.itemsize}") if column.dtype.kind == "f" else column
+        distinct, codes = np.unique(key, return_inverse=True)
+        values = distinct.view(column.dtype) if table is None else table[distinct]
+    if values.dtype.kind == "f":
+        return _fmt17_tokens(values, before, after), codes
+    values = values.tolist()
     rule = _token_rule(values[0], fmt)
-    tokens = np.array([before + rule(v) + after for v in values], dtype=object)
-    return "%s", tokens[inverse].tolist()
+    return np.array([before + rule(v) + after for v in values], dtype=object), codes
+
+
+# rows per join: with rows joined a block at a time, a chunk's text is held
+# once, in blocks, beside its columns' tokens
+_ROW_BLOCK = 1024
+
+
+def _row_blocks(columns: dict, fmt: str, tables: dict | None = None):
+    """``rows`` in lists of up to _ROW_BLOCK rows."""
+    tables = tables or {}
+    if fmt == "csv":
+        sep, before, after = ",", [""] * len(columns), [""] * len(columns)
+    else:
+        sep, before, after = ", ", [f'"{k}": ' for k in columns], [""] * len(columns)
+        before[0], after[-1] = "{" + before[0], "}"
+    tokens = [_column(column, fmt, b, a, tables.get(name))
+              for (name, column), b, a in zip(columns.items(), before, after)]
+    for lo in range(0, tokens[0][1].size, _ROW_BLOCK):
+        yield list(map(sep.join, zip(*[column[codes[lo:lo + _ROW_BLOCK]].tolist()
+                                        for column, codes in tokens])))
 
 
 def rows(columns: dict, fmt: str, tables: dict | None = None) -> list[str]:
@@ -461,18 +614,10 @@ def rows(columns: dict, fmt: str, tables: dict | None = None) -> list[str]:
     CSV values or one-line JSON objects.  A column named in ``tables`` holds
     integer codes into the table given for it.  Each row is one join of its
     columns' tokens, the JSON keys and braces already folded into each
-    column's tokens; each distinct value is formatted once, and a mostly
-    distinct float column is formatted inline as the rows are joined (see
-    ``_column``)."""
-    tables = tables or {}
-    if fmt == "csv":
-        sep, before, after = ",", [""] * len(columns), [""] * len(columns)
-    else:
-        sep, before, after = ", ", [f'"{k}": ' for k in columns], [""] * len(columns)
-        before[0], after[-1] = "{" + before[0], "}"
-    tokens = [_column(column, fmt, b, a, tables.get(name))[1]
-              for (name, column), b, a in zip(columns.items(), before, after)]
-    return list(map(sep.join, zip(*tokens)))
+    column's tokens, and each distinct value of a column is formatted once
+    (see ``_column``; floats exactly as fmt17, vectorised for |x| in
+    [2**-36, 2**51))."""
+    return [row for block in _row_blocks(columns, fmt, tables) for row in block]
 
 
 def record_json(fields: dict) -> str:
@@ -481,10 +626,11 @@ def record_json(fields: dict) -> str:
 
 
 def record_csv(fields: dict, tables: dict | None = None) -> str:
-    """A field dict as a CSV header line and one row (booleans as 0/1; see
-    ``rows`` for ``tables``)."""
-    row = rows({k: np.atleast_1d(v) for k, v in fields.items()}, "csv", tables)[0]
-    return ",".join(fields) + "\n" + row
+    """A field dict as a CSV header line and one row (booleans as 0/1); a field
+    named in ``tables`` holds an integer code into the table given for it."""
+    tables = tables or {}
+    values = [np.asarray(tables[k][v] if k in tables else v).tolist() for k, v in fields.items()]
+    return ",".join(fields) + "\n" + ",".join(_token_rule(v, "csv")(v) for v in values)
 
 
 def covmat_to_json(V) -> str:

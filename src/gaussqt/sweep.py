@@ -128,7 +128,8 @@ def run_sweep(config: SweepConfig):
 
 def text(config: SweepConfig):
     """The sweep's text in its format, in pieces: the head, the rows of each
-    chunk (with the row separator between chunks), the tail."""
+    chunk in blocks of ``core._ROW_BLOCK`` (with the row separator between
+    blocks), the tail."""
     if config.format == "csv":
         head = ",".join(("axis1", "axis2", *criteria._ROW_SCHEMA)) + "\n"
         sep, tail = "\n", "\n"
@@ -144,12 +145,14 @@ def text(config: SweepConfig):
     chunks = run_sweep(config)
     yield head
     for lo in range(0, config.size, _CHUNK):
-        if lo:
-            yield sep
-        # format next(chunks) in place: a loop variable would keep the
-        # previous chunk alive while the next one is computed
-        yield sep.join(core.rows(_axis_codes(next(chunks), lo, config.axis2.steps),
-                                 config.format, tables))
+        # format next(chunks) in place, and drop the last block before the next
+        # chunk is computed: a variable would keep either alive meanwhile
+        for i, block in enumerate(core._row_blocks(
+                _axis_codes(next(chunks), lo, config.axis2.steps), config.format, tables)):
+            if lo or i:
+                yield sep
+            yield sep.join(block)
+        del block
     yield tail
 
 

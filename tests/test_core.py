@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import gaussqt.core as core
 import gaussqt.resources as resources
 import gaussqt.sampling as sampling
+import gaussqt.sweep as sweep
 from gaussqt.errors import InvalidInput, PreconditionFailed
 from conftest import det_block_nu, reference_rows, williamson_nu, two_mode_squeezer
 
@@ -519,8 +520,23 @@ def assert_rows_match_reference(columns, tables=None):
         assert core.rows(columns, fmt, tables) == reference_rows(columns, fmt, tables), fmt
 
 
-def conversion(column):
+def tokens(column):
+    """The tokens ``core._column`` formats for a column, one per distinct value."""
     return core._column(np.asarray(column), "csv")[0]
+
+
+def assert_tokens_are_fmt17(values, before="", after=""):
+    """``core._fmt17_tokens`` against fmt17, value by value, in slices; returns the count."""
+    values = np.asarray(values, dtype=float).ravel()
+    for lo in range(0, values.size, 1 << 18):
+        part = values[lo:lo + (1 << 18)]
+        got = core._fmt17_tokens(part, before, after).tolist()
+        want = [before + t + after for t in map(core.fmt17, part.tolist())]
+        if got != want:
+            i = next(i for i, (g, w) in enumerate(zip(got, want)) if g != w)
+            pytest.fail(f"{part[i]!r} ({part[i:i + 1].view(np.int64)[0]:#x}): "
+                        f"{got[i]!r} != {want[i]!r}")
+    return values.size
 
 
 def test_tie_values_are_ties():
@@ -531,13 +547,65 @@ def test_tie_values_are_ties():
 
 @given(st.floats(allow_nan=False, allow_infinity=False))
 @settings(max_examples=2000, deadline=None)
-def test_inline_conversion_is_fmt17_on_finite_floats(x):
-    assert "%.17g" % x == core.fmt17(x)
+def test_float_tokens_are_fmt17_on_finite_floats(x):
+    assert core._fmt17_tokens(np.array([x])).tolist() == [core.fmt17(x)]
 
 
-def test_inline_conversion_is_fmt17_on_special_values():
-    for x in SPECIAL:
-        assert "%.17g" % x == core.fmt17(x) == format(x, ".17g")
+def test_float_tokens_are_fmt17_on_special_values():
+    assert core._fmt17_tokens(np.array(SPECIAL)).tolist() == [format(x, ".17g") for x in SPECIAL]
+    assert core._fmt17_tokens(np.array([np.nan, np.inf, -np.inf])).tolist() == ["null"] * 3
+
+
+def test_float_tokens_are_fmt17_byte_for_byte(rng):
+    """The vectorised fmt17 against fmt17 on over five million values, in and out of
+    its window (|x| in [2**-36, 2**51))."""
+
+    def signed(x):
+        return np.concatenate([x, -x])
+
+    def steps_around(x, k=4):  # x and its k neighbours on either side
+        out = [np.asarray(x, dtype=float)]
+        for direction in (-np.inf, np.inf):
+            y = out[0]
+            for _ in range(k):
+                y = np.nextafter(y, direction)
+                out.append(y)
+        return np.concatenate(out)
+
+    n = assert_tokens_are_fmt17(  # every exponent, subnormals, NaN payloads
+        np.frombuffer(rng.bytes(8 * 500_000), np.float64))
+    n += assert_tokens_are_fmt17([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, *SPECIAL,
+                                  *(-np.array(SPECIAL))])
+    n += assert_tokens_are_fmt17(  # log-uniform, inside the window and beyond it
+        np.copysign(10.0 ** rng.uniform(-13, 17, 2_500_000), rng.random(2_500_000) - 0.5))
+    # exact 17-digit ties: odd m / 2**j with 18 significant digits, the last a 5
+    # (j = 2 is odd M/4 with M >= 4e15; TIES are two more at j = 25)
+    ties = [np.array(TIES)]
+    for j in range(2, 18):
+        lo, hi = 10 ** (17 - j) * 2**j, min(10 ** (18 - j) * 2**j, 2**53)
+        ties.append((2 * rng.integers(lo // 2, hi // 2, 30_000) + 1) / 2.0**j)
+        digits = decimal.Decimal(ties[-1][0]).as_tuple().digits
+        assert len(digits) == 18 and digits[-1] == 5
+    n += assert_tokens_are_fmt17(signed(np.concatenate(ties)))
+    # either side of every power of ten in the window and of the window's edges
+    powers = np.array([float(f"1e{e}") for e in range(-12, 17)])
+    n += assert_tokens_are_fmt17(signed(steps_around(np.concatenate([powers, [2.0**-36, 2.0**51]]))))
+    # one-digit values, where every digit but the first is a trailing zero
+    n += assert_tokens_are_fmt17(signed(np.array(
+        [float(f"{d}e{e}") for d in range(1, 10) for e in range(-13, 17)])))
+    assert core._fmt17_tokens(np.array([0.5, 0.01, 1e-5, 5e-7, 100.0])).tolist() == [
+        "0.5", "0.01", "1.0000000000000001e-05", "4.9999999999999998e-07", "100"]
+    # every float column of a tmst and a bs sweep
+    for family, axes in (("tmst", (("k1", 0.5, 2.5), ("k2", 0.5, 2.5))),
+                         ("bs", (("k", 0.5, 2.0), ("T", 0.05, 0.95)))):
+        cfg = sweep.SweepConfig(family=family, r=0.48, **{
+            key: sweep.AxisSpec(*axis, 301) for key, axis in zip(("axis1", "axis2"), axes)})
+        for chunk in sweep.run_sweep(cfg):
+            n += assert_tokens_are_fmt17(
+                np.stack([c for c in chunk.values() if c.dtype.kind == "f"]))
+    # a JSON key with a per cent sign, and a closing brace
+    n += assert_tokens_are_fmt17(rng.normal(size=10_000), '"100%": ', "}")
+    assert n >= 5_000_000
 
 
 def test_rows_match_reference_on_special_values(rng):
@@ -545,10 +613,12 @@ def test_rows_match_reference_on_special_values(rng):
     distinct = np.concatenate([SPECIAL, rng.normal(size=n - len(SPECIAL))])
     repeated = np.resize(SPECIAL, n)
     signed_zeros = np.resize([0.0, -0.0], n)
-    assert conversion(distinct) == "%.17g"
-    assert conversion(repeated) == conversion(signed_zeros) == "%s"
-    inline = core._column(distinct, "json", '"x": ', "}")[1]
-    assert iter(inline) is inline  # formatted as the rows are joined, not held as a list
+    # each distinct value is formatted once, 0.0 and -0.0 by their own bits
+    assert tokens(distinct).size == np.unique(distinct.view(np.int64)).size
+    assert tokens(repeated).size == np.unique(np.array(SPECIAL).view(np.int64)).size
+    assert tokens(signed_zeros).tolist() == ["-0", "0"]
+    json_tokens, codes = core._column(distinct, "json", '"x": ', "}")
+    assert json_tokens[codes].tolist() == ['"x": ' + core.fmt17(v) + "}" for v in distinct]
     assert core.rows({"z": signed_zeros}, "csv")[:2] == ["0", "-0"]
     assert_rows_match_reference({
         "distinct": distinct,
@@ -559,7 +629,7 @@ def test_rows_match_reference_on_special_values(rng):
         "label": LABELS[rng.integers(0, LABELS.size, n)],
         "code": rng.integers(0, LABELS.size, n).astype(np.int8),
         "int": rng.integers(-3, 3, n),
-        "100%": distinct[::-1],  # a key the inline format must escape
+        "100%": distinct[::-1],  # a key with a per cent sign
     }, {"code": LABELS})
 
 
@@ -567,7 +637,7 @@ def test_rows_match_reference_with_non_finite_values(rng):
     n = 40
     mixed = rng.normal(size=n)
     mixed[[3, 7, 11, 19]] = [np.nan, np.inf, -np.inf, -np.nan]
-    assert conversion(mixed) == "%s"  # mostly distinct, but not all finite
+    assert tokens(mixed).tolist().count("null") == 4  # nan and -nan have their own bits
     assert core.rows({"x": mixed}, "json")[3] == '{"x": null}'
     assert_rows_match_reference({
         "mixed": mixed,
@@ -576,16 +646,17 @@ def test_rows_match_reference_with_non_finite_values(rng):
     })
 
 
-def test_rows_match_reference_either_side_of_the_distinct_count_switch(rng):
+def test_rows_match_reference_with_repeated_and_coded_values(rng):
     n = 12
     values = rng.normal(size=n)
-    at_half = np.resize(values[:6], n)  # 6 of 12 distinct: deduplicated
-    past_half = np.resize(values[:7], n)  # 7 of 12: formatted inline
-    assert conversion(at_half) == "%s"
-    assert conversion(past_half) == "%.17g"
+    at_half = np.resize(values[:6], n)
+    past_half = np.resize(values[:7], n)
+    assert (tokens(at_half).size, tokens(past_half).size) == (6, 7)  # once per distinct value
+    flags = np.resize([True, False, False], n)
+    assert core._column(flags, "json")[0].tolist() == ["false", "true"]  # codes, no sort
     long_table = rng.normal(size=3 * n)  # longer than the column: its codes are sorted
     assert_rows_match_reference({"at_half": at_half, "past_half": past_half,
-                                 "flags": np.resize([True, False, False], n),
+                                 "flags": flags,
                                  "coded": rng.integers(0, long_table.size, n)},
                                 {"coded": long_table})
 

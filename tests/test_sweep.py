@@ -1,6 +1,8 @@
 """Parameter-plane sweeps: grid order, file formats, region coherence."""
 
+import collections
 import dataclasses
+import hashlib
 import json
 import os
 import stat
@@ -234,23 +236,23 @@ def test_text_matches_the_reference_writer(monkeypatch, chunk, family, fmt, step
     cfg = sweep.SweepConfig(family=family, r=0.48, format=fmt,
                             **{key: sweep.AxisSpec(*axis, steps)
                                for key, axis in zip(("axis1", "axis2"), axes)})
-    conversions = []
-    real = core._column
+    sorted_columns = []
+    real = np.unique
 
-    def spy(*args):
-        conversion, tokens = real(*args)
-        conversions.append(conversion)
-        return conversion, tokens
+    def spy(ar, *args, **kwargs):
+        sorted_columns.append(ar.size)
+        return real(ar, *args, **kwargs)
 
-    monkeypatch.setattr(core, "_column", spy)
+    monkeypatch.setattr(core.np, "unique", spy)
     pieces = list(sweep.text(cfg))
+    monkeypatch.undo()
     sep = "\n" if fmt == "csv" else ",\n    "
     want = [row for columns in sweep.run_sweep(cfg)
             for row in reference_rows(columns, fmt, {"class": criteria.LABELS})]
     assert "".join(pieces[1:-1]).split(sep) == want  # lists: a failure names the first row
     assert len(want) == steps * steps
-    # bs result columns are mostly distinct, so both conversions are checked
-    assert family == "tmst" or set(conversions) == {"%s", "%.17g"}
+    # axes, flags and labels are codes: only the four float result columns are sorted
+    assert len(sorted_columns) == 4 * -(-steps * steps // chunk)
 
 
 def test_run_sweep_takes_no_spectrum_on_an_ordinary_grid(monkeypatch):
@@ -341,6 +343,47 @@ def test_write_memory_is_bounded_by_the_chunk(tmp_path, monkeypatch, family, fmt
     finally:
         tracemalloc.stop()
     assert peak < 0.25 * path.stat().st_size
+
+
+def test_json_text_peak_stays_at_its_compute_peak():
+    # 400² bs rows, two full chunks and part of a third.  Each chunk is formatted
+    # in place, so the peak of text is a chunk's compute plus what the writer
+    # holds meanwhile: 25,739 bytes here before float columns were formatted by
+    # _fmt17_tokens in row blocks (numpy 2.4.6), against about 17 MB more had a
+    # chunk's rows or float tokens been held whole at once
+    cfg = sweep.SweepConfig(family="bs", r=0.48, format="json",
+                            axis1=sweep.AxisSpec("k", 0.5, 2.0, 400),
+                            axis2=sweep.AxisSpec("T", 0.05, 0.95, 400))
+    assert cfg.size >= 2 * sweep._CHUNK
+    tracemalloc.start()
+    try:
+        collections.deque(sweep.run_sweep(cfg), maxlen=0)
+        compute = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        collections.deque(sweep.text(cfg), maxlen=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - compute <= 25_739, peak - compute
+
+
+# the reference grids at r = 0.48 and the SHA-256 of their text
+REFERENCE_SWEEPS = [
+    ("tmst", "csv", (("k1", 0.5, 2.5, 1001), ("k2", 0.5, 2.5, 1001)),
+     "fc067d4603ff501a67d3a72e06c93756a0bd1b788d541b6f51d7ff9def818c50"),
+    ("bs", "json", (("k", 0.5, 2.0, 501), ("T", 0.05, 0.95, 501)),
+     "08c4677ea871be6a194f8a8125190823c09be11e9a151d608c1fd61a0ef4f5bc"),
+]
+
+
+@pytest.mark.parametrize("family, fmt, axes, sha256", REFERENCE_SWEEPS)
+def test_reference_sweeps_keep_their_bytes(family, fmt, axes, sha256):
+    cfg = sweep.SweepConfig(family=family, r=0.48, format=fmt,
+                            axis1=sweep.AxisSpec(*axes[0]), axis2=sweep.AxisSpec(*axes[1]))
+    digest = hashlib.sha256()
+    for piece in sweep.text(cfg):
+        digest.update(piece.encode())
+    assert digest.hexdigest() == sha256
 
 
 def test_degenerate_two_by_two_grid():
