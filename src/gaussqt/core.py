@@ -472,7 +472,7 @@ _CONSTANT_ROWS = np.frombuffer(b"0123456789e-", np.uint8)[:, None]
 _DIGIT_ROWS = np.arange(17, dtype=np.uint8)[:, None]
 _LOW32, _U32, _U64, _U1 = np.uint64(0xFFFFFFFF), np.uint64(32), np.uint64(64), np.uint64(1)
 _E8, _E16 = np.uint64(10**8), np.uint64(10**16)
-# values per character matrix, which then holds about 200 kB
+# values per character matrix, which then holds a few hundred kB
 _FMT_BLOCK = 4096
 
 
@@ -589,8 +589,8 @@ def _column(column: np.ndarray, fmt: str, before: str = "", after: str = "",
     return np.array([before + rule(v) + after for v in values], dtype=object), codes
 
 
-# rows per join: with rows joined a block at a time, a chunk's text is held
-# once, in blocks, beside its columns' tokens
+# rows per join.  Joined whole, a chunk's rows and its text sat beside its float
+# tokens: the 501^2 bs JSON CLI sweep peaked at 139 MB RSS, against 84-85 MB here
 _ROW_BLOCK = 1024
 
 
