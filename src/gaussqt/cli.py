@@ -82,18 +82,14 @@ def _analysis_json(validity, report, label, params, verdict) -> str:
 
 def _print_analysis(V, args) -> int:
     validity = core.validate(V)
-    if not validity.physical:
-        report, label = criteria._report(criteria._UNPHYSICAL_ROW)
-        _emit(_analysis_json(validity, report, label, None, None), args.out)
-        return EXIT_UNPHYSICAL
-    cols = criteria._evaluate(V)
+    row = criteria._evaluate(V) if validity.physical else criteria._UNPHYSICAL_ROW
     if args.format == "csv":
-        _emit(core.record_csv(criteria._row(cols), criteria._ROW_TABLES), args.out)
-        return EXIT_OK
-    report, label = criteria._report(cols)
-    params, _ = core._canonical(V)
-    _emit(_analysis_json(validity, report, label, params, core._verdict(V)), args.out)
-    return EXIT_OK
+        text = core.record_csv({**row, "class": criteria.LABELS[row["class"]]})
+    else:
+        extra = (core._canonical(V)[0], core._verdict(V)) if validity.physical else (None, None)
+        text = _analysis_json(validity, *criteria._report(row), *extra)
+    _emit(text, args.out)
+    return EXIT_OK if validity.physical else EXIT_UNPHYSICAL
 
 
 def _cmd_analyze(args) -> int:
@@ -101,11 +97,8 @@ def _cmd_analyze(args) -> int:
 
 
 def _build_state(args):
-    if args.family == "tmst":
-        spec = resources.TmstSpec(r=args.r, k1=args.k1, k2=args.k2)
-        return resources.tmst(spec)
-    spec = resources.BsSpec(r=args.r, k=args.k, T=args.T)
-    return resources.bs_resource(spec)
+    names, build = sweep._FAMILIES[args.family]
+    return build(args.r, *(getattr(args, name) for name in names))
 
 
 def _cmd_state(args) -> int:
@@ -174,7 +167,6 @@ def _add_common(p: argparse.ArgumentParser, default_format: str = "json") -> Non
                    help="output format")
     p.add_argument("--out", default=None, metavar="PATH",
                    help="write output to PATH instead of stdout")
-    p.add_argument("--quiet", action="store_true", help="suppress progress chatter")
 
 
 def _add_tmst_flags(p: argparse.ArgumentParser) -> None:
@@ -224,6 +216,7 @@ def build_parser() -> _Parser:
     pb.add_argument("--T", required=True, metavar="MIN:MAX:STEPS")
     for q in (pt, pb):
         _add_common(q, default_format="csv")
+        q.add_argument("--quiet", action="store_true", help="do not report the rows written")
         q.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("thresholds", help="entanglement and QT squeeze thresholds")

@@ -625,11 +625,9 @@ def record_json(fields: dict) -> str:
     return "{" + ", ".join(f'"{k}": {json_token(v)}' for k, v in fields.items()) + "}"
 
 
-def record_csv(fields: dict, tables: dict | None = None) -> str:
-    """A field dict as a CSV header line and one row (booleans as 0/1); a field
-    named in ``tables`` holds an integer code into the table given for it."""
-    tables = tables or {}
-    values = [np.asarray(tables[k][v] if k in tables else v).tolist() for k, v in fields.items()]
+def record_csv(fields: dict) -> str:
+    """A field dict as a CSV header line and one row (booleans as 0/1)."""
+    values = [np.asarray(v).tolist() for v in fields.values()]
     return ",".join(fields) + "\n" + ",".join(_token_rule(v, "csv")(v) for v in values)
 
 

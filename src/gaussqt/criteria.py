@@ -17,10 +17,11 @@ tolerance band; raw values are always reported so consumers can apply
 their own thresholds.
 
 ``_evaluate`` is the one evaluation path: it turns a stack of physical
-covariance matrices into the column arrays of ``Columns`` and is the only
-place the label precedence is written.  ``classify`` (one state or a
-stack), ``sweep.run_sweep`` (one call per chunk) and the CLI's ``analyze``
-are views over it.
+covariance matrices into the output row, a dict of column arrays whose keys
+are the output names in output order, and is the only place the label
+precedence is written.  ``classify`` (one state or a stack),
+``sweep.run_sweep`` (one call per chunk) and the CLI's ``analyze`` are views
+over it.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple
 
 import numpy as np
 
@@ -202,33 +202,6 @@ LABELS = np.array([c.value for c in Classification])
 _CODE = {c: np.int8(i) for i, c in enumerate(Classification)}
 
 
-class Columns(NamedTuple):
-    """Column arrays of evaluated states, one entry per matrix in the stack."""
-
-    delta_epr: np.ndarray
-    f_epr: np.ndarray
-    det_m: np.ndarray
-    fidelity: np.ndarray
-    entangled: np.ndarray
-    epr: np.ndarray
-    qt: np.ndarray
-    codes: np.ndarray  # int8 codes into LABELS
-
-
-# the per-state output row, output name -> Columns field, in output order
-_ROW_SCHEMA = {"delta_epr": "delta_epr", "f_epr": "f_epr", "det_m": "det_m",
-               "fidelity": "fidelity", "entangled": "entangled", "epr": "epr", "qt": "qt",
-               "class": "codes"}
-
-# the code tables of the output row, for the writers
-_ROW_TABLES = {"class": LABELS}
-
-
-def _row(cols) -> dict:
-    """The output row of ``cols`` (anything with the Columns fields), by output name."""
-    return {name: getattr(cols, field) for name, field in _ROW_SCHEMA.items()}
-
-
 # the first true condition names the region; entangled and not QT otherwise
 _PRECEDENCE = (
     _CODE[Classification.SEPARABLE],
@@ -237,33 +210,30 @@ _PRECEDENCE = (
 )
 
 
-def _evaluate(V: np.ndarray) -> Columns:
-    """Columns of a (..., 4, 4) stack already known to be physical."""
+def _evaluate(V: np.ndarray) -> dict:
+    """The output row of a (..., 4, 4) stack already known to be physical: its
+    column arrays by output name, in output order (``class`` as int8 codes into
+    LABELS)."""
     delta = _delta_raw(V)
     det_m = _det_m(V)
     entangled = core._ppt_entangled(V)
     epr = delta < 2.0
     qt = det_m < 4.0
     codes = np.select([~entangled, epr, qt], _PRECEDENCE, _CODE[Classification.ENTANGLED_NO_QT])
-    return Columns(delta, _f_epr(delta), det_m, _fidelity(det_m), entangled, epr, qt, codes)
+    return {"delta_epr": delta, "f_epr": _f_epr(delta), "det_m": det_m,
+            "fidelity": _fidelity(det_m), "entangled": entangled, "epr": epr, "qt": qt,
+            "class": codes}
 
 
-def _report(cols: Columns) -> tuple[CriteriaReport, Classification]:
+def _report(row: dict) -> tuple[CriteriaReport, Classification]:
     """Report and label of one evaluated matrix, as Python scalars."""
-    report = CriteriaReport(
-        delta_epr=float(cols.delta_epr),
-        f_epr=float(cols.f_epr),
-        det_m=float(cols.det_m),
-        fidelity=float(cols.fidelity),
-        entangled=bool(cols.entangled),
-        epr_correlated=bool(cols.epr),
-        qt=bool(cols.qt),
-    )
-    return report, Classification(LABELS[cols.codes])
+    *values, code = (np.asarray(v).item() for v in row.values())
+    return CriteriaReport(*values), Classification(LABELS[code])
 
 
-_UNPHYSICAL_ROW = Columns(math.nan, math.nan, math.nan, math.nan, False, False, False,
-                          _CODE[Classification.UNPHYSICAL])
+_UNPHYSICAL_ROW = {"delta_epr": math.nan, "f_epr": math.nan, "det_m": math.nan,
+                   "fidelity": math.nan, "entangled": False, "epr": False, "qt": False,
+                   "class": _CODE[Classification.UNPHYSICAL]}
 
 
 def classify(V):
@@ -291,18 +261,15 @@ def classify(V):
     flat = V.reshape(-1, 4, 4)
     physical = np.all(np.abs(flat) <= core.MAX_ENTRY, axis=(1, 2))
     physical[physical] = core._physicality(flat[physical])[3]
-    cols = _evaluate(flat[physical])
-    full = []
-    for col, fill in zip(cols, _UNPHYSICAL_ROW):
-        out = np.full(physical.shape, fill, dtype=col.dtype)
+    row = {}
+    for name, col in _evaluate(flat[physical]).items():
+        out = np.full(physical.shape, _UNPHYSICAL_ROW[name], dtype=col.dtype)
         out[physical] = col
-        full.append(out.reshape(V.shape[:-2]))
-    cols = Columns(*full)
+        row[name] = out.reshape(V.shape[:-2])
     if V.ndim == 2:
-        return _report(cols)
-    report = CriteriaReport(cols.delta_epr, cols.f_epr, cols.det_m, cols.fidelity,
-                            cols.entangled, cols.epr, cols.qt)
-    return report, LABELS[cols.codes]
+        return _report(row)
+    *values, codes = row.values()
+    return CriteriaReport(*values), LABELS[codes]
 
 
 def report_to_json(report: CriteriaReport) -> str:

@@ -5,8 +5,8 @@ axes (tmst: k1, k2; bs: k, T), evaluating the EPR uncertainty, det M,
 fidelity and the three verdict flags at every grid point through
 ``criteria._evaluate``, the package's one evaluation path.  The sweep is
 one stream: ``run_sweep`` yields one dict of column arrays per chunk of
-rows (axis1, axis2 and the kernel's output row, ``criteria._ROW_SCHEMA``,
-whose ``class`` column holds int8 codes into ``criteria.LABELS``), and
+rows (axis1, axis2 and the output row of ``criteria._evaluate``, whose
+``class`` column holds int8 codes into ``criteria.LABELS``), and
 ``text``/``write`` format each chunk as CSV or JSON as it arrives, so
 nothing grows with the grid.  Rows are ordered with axis2 varying fastest.
 Sweep rows skip the physicality check, so a strongly squeezed row that
@@ -123,7 +123,7 @@ def run_sweep(config: SweepConfig):
     for lo in range(0, config.size, _CHUNK):
         i = np.arange(lo, min(lo + _CHUNK, config.size))
         a1, a2 = v1[i // v2.size], v2[i % v2.size]
-        yield {"axis1": a1, "axis2": a2, **criteria._row(criteria._evaluate(build(r, a1, a2)))}
+        yield {"axis1": a1, "axis2": a2, **criteria._evaluate(build(r, a1, a2))}
 
 
 def text(config: SweepConfig):
@@ -131,7 +131,7 @@ def text(config: SweepConfig):
     chunk in blocks of ``core._ROW_BLOCK`` (with the row separator between
     blocks), the tail."""
     if config.format == "csv":
-        head = ",".join(("axis1", "axis2", *criteria._ROW_SCHEMA)) + "\n"
+        head = ",".join(("axis1", "axis2", *criteria._UNPHYSICAL_ROW)) + "\n"
         sep, tail = "\n", "\n"
     else:
         axes = {key: {"name": a.name, "min": float(a.lo), "max": float(a.hi), "steps": a.steps}
@@ -141,7 +141,7 @@ def text(config: SweepConfig):
         ) + ',\n  "rows": [\n    '
         sep, tail = ",\n    ", "\n  ]\n}\n"
     tables = {"axis1": config.axis1.values(), "axis2": config.axis2.values(),
-              **criteria._ROW_TABLES}
+              "class": criteria.LABELS}
     chunks = run_sweep(config)
     yield head
     for lo in range(0, config.size, _CHUNK):

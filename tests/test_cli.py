@@ -66,6 +66,10 @@ def test_analyze_unphysical_exits_2(tmp_path, capsys):
     assert doc["report"]["fidelity"] is None
     assert doc["canonical"] is None
     assert doc["entanglement"] is None
+    code, out, _ = run(capsys, "analyze", str(path), "--format", "csv")
+    assert code == cli.EXIT_UNPHYSICAL
+    assert out.split("\n")[:2] == ["delta_epr,f_epr,det_m,fidelity,entangled,epr,qt,class",
+                                   "null,null,null,null,0,0,0,Unphysical"]
 
 
 def test_analyze_missing_file_exits_5(capsys):
@@ -104,8 +108,8 @@ def test_analyze_out_file(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("fmt, budget, physical", [
-    ("json", 2, True), ("csv", 2, True), ("json", 1, False),
-], ids=["json-2", "csv-2", "unphysical-json-1"])
+    ("json", 2, True), ("csv", 2, True), ("json", 1, False), ("csv", 1, False),
+], ids=["json-2", "csv-2", "unphysical-json-1", "unphysical-csv-1"])
 def test_analyze_spectrum_budget(tmp_path, capsys, monkeypatch, rng, fmt, budget, physical):
     path = tmp_path / "state.json"
     V = sampling.random_physical_covmats(rng, 1)[0] if physical else 0.4 * np.eye(4)
@@ -348,6 +352,9 @@ def test_usage_errors_exit_3(capsys):
     assert run(capsys, "state", "tmst", "--r", "abc", "--k1", "1", "--k2", "1")[0] \
         == cli.EXIT_BAD_INPUT
     assert run(capsys)[0] == cli.EXIT_BAD_INPUT
+    code, out, err = run(capsys, "analyze", "state.json", "--quiet")  # a sweep-only flag
+    assert (code, out) == (cli.EXIT_BAD_INPUT, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
 
 
 def test_module_entry_point():

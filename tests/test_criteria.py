@@ -9,10 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gaussqt.cli as cli
 import gaussqt.core as core
 import gaussqt.criteria as criteria
 import gaussqt.resources as resources
 import gaussqt.sampling as sampling
+import gaussqt.sweep as sweep
 from gaussqt.errors import PreconditionFailed
 from conftest import epr_combo_variance, m_entries, m_matmul, two_mode_squeezer
 
@@ -346,6 +348,25 @@ def test_classify_precedence_consistency(rng):
         assert rep.epr_correlated == (rep.delta_epr < 2.0)
         if rep.epr_correlated:
             assert rep.qt
+
+
+def test_output_row_is_stated_once(tmp_path, capsys, monkeypatch):
+    names = list(criteria._evaluate(VACUUM))
+    assert list(criteria._UNPHYSICAL_ROW) == names
+    config = sweep.SweepConfig("tmst", 0.5, sweep.AxisSpec("k1", 0.5, 1.5, 3),
+                               sweep.AxisSpec("k2", 0.5, 1.5, 3))
+    assert next(sweep.text(config)) == ",".join(["axis1", "axis2", *names]) + "\n"
+    monkeypatch.setattr(sweep, "_CHUNK", 4)
+    chunks = list(sweep.run_sweep(config))
+    assert len(chunks) == 3
+    assert all(list(chunk) == ["axis1", "axis2", *names] for chunk in chunks)
+    path = tmp_path / "vac.json"
+    core.save_covmat(VACUUM, path)
+    assert cli.main(["analyze", str(path), "--format", "csv"]) == cli.EXIT_OK
+    assert capsys.readouterr().out.split("\n")[0] == ",".join(names)
+    # _report and classify build CriteriaReport from the first seven values by position
+    fields = [f.name for f in dataclasses.fields(criteria.CriteriaReport)]
+    assert fields == [{"epr": "epr_correlated"}.get(n, n) for n in names[:7]]
 
 
 def test_report_json_frozen_string():
