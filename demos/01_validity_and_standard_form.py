@@ -12,10 +12,9 @@ import numpy as np
 
 from gaussqt import (
     CanonicalParams,
-    TmstSpec,
     from_canonical,
     symplectic_eigenvalues,
-    tmst,
+    tmst_covmat,
     to_canonical,
     validate,
 )
@@ -34,7 +33,7 @@ print("sub-vacuum:", rep)
 
 # -- a squeezed thermal state and its invariants ---------------------------
 
-V = tmst(TmstSpec(r=0.48, k1=1.5, k2=0.75))
+V = tmst_covmat(r=0.48, k1=1.5, k2=0.75)
 print("\nsqueezed thermal covariance (r=0.48, k1=1.5, k2=0.75):")
 print(V)
 

@@ -14,17 +14,15 @@ Every EPR-correlated state teleports; some entangled states do not.
 import numpy as np
 
 from gaussqt import (
-    BsSpec,
     CanonicalParams,
-    TmstSpec,
-    bs_resource,
+    bs_covmat,
     classify,
     epr_uncertainty,
     fidelity,
     from_canonical,
     m_matrix,
     simon_inseparable,
-    tmst,
+    tmst_covmat,
 )
 
 np.set_printoptions(precision=6, suppress=True)
@@ -45,17 +43,17 @@ print("-" * 86)
 show("vacuum", 0.5 * np.eye(4))
 
 # pure squeezed vacuum: every r > 0 gives all three properties at once
-show("squeezed vacuum r=0.5", tmst(TmstSpec(0.5, 0.5, 0.5)))
+show("squeezed vacuum r=0.5", tmst_covmat(0.5, 0.5, 0.5))
 
 # thermal noise splits the hierarchy: entangled but useless for
 # teleportation at this squeezing
-show("squeezed thermal r=0.35", tmst(TmstSpec(0.35, 1.5, 0.75)))
+show("squeezed thermal r=0.35", tmst_covmat(0.35, 1.5, 0.75))
 
 # more squeezing on the same thermal pair crosses into the QT region
-show("squeezed thermal r=0.48", tmst(TmstSpec(0.48, 1.5, 0.75)))
+show("squeezed thermal r=0.48", tmst_covmat(0.48, 1.5, 0.75))
 
 # a beam-splitter resource: EPR correlated at balanced transmittance
-show("beam splitter T=0.50", bs_resource(BsSpec(0.5, 0.5, 0.5)))
+show("beam splitter T=0.50", bs_covmat(0.5, 0.5, 0.5))
 
 # unbalanced splitting keeps teleportation alive without EPR correlation
 show("standard form (1.7,1.7,1.5,0.8)",
@@ -63,7 +61,7 @@ show("standard form (1.7,1.7,1.5,0.8)",
 
 # -- the quantities behind the verdicts ------------------------------------
 
-V = tmst(TmstSpec(0.5, 0.5, 0.5))
+V = tmst_covmat(0.5, 0.5, 0.5)
 print("\nsqueezed vacuum r=0.5 in detail:")
 print("EPR uncertainty Delta =", epr_uncertainty(V))
 print("teleportation matrix M:")

@@ -13,12 +13,11 @@ entangled yet cannot teleport.
 import numpy as np
 
 from gaussqt import (
-    TmstSpec,
     classify,
     nonclassicality_threshold,
     r_ent_threshold,
     r_qt_threshold,
-    tmst,
+    tmst_covmat,
 )
 
 # -- a table across thermal asymmetry --------------------------------------
@@ -46,7 +45,7 @@ re = r_ent_threshold(k1, k2)
 rq = r_qt_threshold(k1, k2)
 print(f"\nk1={k1}, k2={k2}: r_ent={re:.5f}, r_qt={rq:.5f}")
 for r in (re - 0.02, re + 0.02, 0.5 * (re + rq), rq - 0.02, rq + 0.02):
-    _, label = classify(tmst(TmstSpec(r, k1, k2)))
+    _, label = classify(tmst_covmat(r, k1, k2))
     print(f"  r = {r:.5f}  ->  {label.value}")
 
 # -- thresholds grow slowly with noise -------------------------------------

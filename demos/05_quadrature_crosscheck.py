@@ -15,20 +15,18 @@ import warnings
 import numpy as np
 
 from gaussqt import (
-    BsSpec,
     QuadratureSpec,
     QuadratureWarning,
-    TmstSpec,
-    bs_resource,
+    bs_covmat,
     cf_value,
     fidelity,
     fidelity_by_quadrature,
-    tmst,
+    tmst_covmat,
 )
 
 # -- the characteristic function itself ------------------------------------
 
-V = tmst(TmstSpec(0.5, 0.5, 0.5))
+V = tmst_covmat(0.5, 0.5, 0.5)
 print("characteristic function of the squeezed vacuum along the real axis")
 for t in (0.0, 0.5, 1.0, 2.0):
     chi = cf_value(V, t)
@@ -39,9 +37,9 @@ for t in (0.0, 0.5, 1.0, 2.0):
 
 states = {
     "vacuum": 0.5 * np.eye(4),
-    "squeezed vacuum r=1.0": tmst(TmstSpec(1.0, 0.5, 0.5)),
-    "squeezed thermal": tmst(TmstSpec(0.48, 1.5, 0.75)),
-    "beam splitter T=0.3": bs_resource(BsSpec(0.5, 0.5, 0.3)),
+    "squeezed vacuum r=1.0": tmst_covmat(1.0, 0.5, 0.5),
+    "squeezed thermal": tmst_covmat(0.48, 1.5, 0.75),
+    "beam splitter T=0.3": bs_covmat(0.5, 0.5, 0.3),
 }
 
 print("\nstate                      closed form   quadrature    |diff|")

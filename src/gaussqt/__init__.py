@@ -34,7 +34,6 @@ from .criteria import (
     epr_uncertainty,
     fidelity,
     m_matrix,
-    report_to_json,
 )
 from .errors import (
     GridSizeError,
@@ -45,14 +44,12 @@ from .errors import (
 )
 from .oracle import QuadratureSpec, cf_value, fidelity_by_quadrature
 from .resources import (
-    BsSpec,
-    TmstSpec,
-    bs_resource,
+    bs_covmat,
     nonclassicality_threshold,
     r_ent_threshold,
     r_qt_threshold,
     single_mode_sth,
-    tmst,
+    tmst_covmat,
 )
 from .sampling import random_physical_covmats, random_separable_covmats
 from .sweep import AxisSpec, SweepConfig, run_sweep
@@ -61,7 +58,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AxisSpec",
-    "BsSpec",
     "CanonicalParams",
     "Classification",
     "CriteriaReport",
@@ -74,11 +70,10 @@ __all__ = [
     "QuadratureSpec",
     "QuadratureWarning",
     "SweepConfig",
-    "TmstSpec",
     "VACUUM",
     "ValidityReport",
     "blocks",
-    "bs_resource",
+    "bs_covmat",
     "cf_value",
     "classify",
     "covmat_from_json",
@@ -97,7 +92,6 @@ __all__ = [
     "r_qt_threshold",
     "random_physical_covmats",
     "random_separable_covmats",
-    "report_to_json",
     "require_physical",
     "run_sweep",
     "save_covmat",
@@ -105,7 +99,7 @@ __all__ = [
     "simon_lhs",
     "single_mode_sth",
     "symplectic_eigenvalues",
-    "tmst",
+    "tmst_covmat",
     "to_canonical",
     "validate",
 ]

@@ -123,13 +123,11 @@ def _parse_axis(name: str, text: str) -> sweep.AxisSpec:
 def _cmd_sweep(args) -> int:
     names = sweep._FAMILIES[args.family][0]
     axis1, axis2 = (_parse_axis(name, getattr(args, name)) for name in names)
-    config = sweep.SweepConfig(
-        family=args.family, r=args.r, axis1=axis1, axis2=axis2, format=args.format
-    )
+    config = sweep.SweepConfig(family=args.family, r=args.r, axis1=axis1, axis2=axis2)
     if not args.out:
-        sys.stdout.writelines(sweep.text(config))
+        sys.stdout.writelines(sweep.text(config, args.format))
         return EXIT_OK
-    sweep.write(config, args.out)
+    sweep.write(config, args.out, args.format)
     if not args.quiet:
         print(f"wrote {config.size} rows to {args.out}")
     return EXIT_OK
@@ -146,9 +144,7 @@ def _cmd_thresholds(args) -> int:
 
 def _cmd_oracle(args) -> int:
     V = _build_state(args)
-    qspec = oracle.QuadratureSpec(
-        radius=args.radius, points_per_axis=args.points, rule=args.rule
-    )
+    qspec = oracle.QuadratureSpec(radius=args.radius, points_per_axis=args.points)
     closed = criteria.fidelity(V)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", QuadratureWarning)
@@ -236,8 +232,6 @@ def build_parser() -> _Parser:
                        help="integration truncation radius (default 6)")
         q.add_argument("--points", type=int, default=401,
                        help="grid points per axis (default 401)")
-        q.add_argument("--rule", choices=("midpoint", "gauss-legendre"),
-                       default="midpoint", help="quadrature rule")
         _add_common(q)
         q.set_defaults(func=_cmd_oracle)
 

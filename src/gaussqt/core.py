@@ -26,7 +26,6 @@ from .errors import InvalidInput, NumericalDomainError, PreconditionFailed
 __all__ = [
     "J2",
     "OMEGA",
-    "SIGMA_Z",
     "VACUUM",
     "PHYSICALITY_TOL",
     "MAX_ENTRY",
@@ -49,7 +48,6 @@ __all__ = [
     "json_token",
     "record_json",
     "record_csv",
-    "rows",
     "covmat_to_json",
     "covmat_from_json",
     "save_covmat",
@@ -58,7 +56,6 @@ __all__ = [
 
 J2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 OMEGA = np.block([[J2, np.zeros((2, 2))], [np.zeros((2, 2)), J2]])
-SIGMA_Z = np.diag([1.0, -1.0])
 VACUUM = 0.5 * np.eye(4)
 
 # mode-b momentum sign flip implementing partial transposition
@@ -595,7 +592,13 @@ _ROW_BLOCK = 1024
 
 
 def _row_blocks(columns: dict, fmt: str, tables: dict | None = None):
-    """``rows`` in lists of up to _ROW_BLOCK rows."""
+    """Text rows of equal-length, non-empty 1-D columns, keys in dict order, in
+    lists of up to _ROW_BLOCK rows: CSV values or one-line JSON objects.  A
+    column named in ``tables`` holds integer codes into the table given for it.
+    Each row is one join of its columns' tokens, the JSON keys and braces
+    already folded into each column's tokens, and each distinct value of a
+    column is formatted once (see ``_column``; floats exactly as fmt17,
+    vectorised for |x| in [2**-36, 2**51))."""
     tables = tables or {}
     if fmt == "csv":
         sep, before, after = ",", [""] * len(columns), [""] * len(columns)
@@ -607,17 +610,6 @@ def _row_blocks(columns: dict, fmt: str, tables: dict | None = None):
     for lo in range(0, tokens[0][1].size, _ROW_BLOCK):
         yield list(map(sep.join, zip(*[column[codes[lo:lo + _ROW_BLOCK]].tolist()
                                         for column, codes in tokens])))
-
-
-def rows(columns: dict, fmt: str, tables: dict | None = None) -> list[str]:
-    """Text rows of equal-length, non-empty 1-D columns, keys in dict order:
-    CSV values or one-line JSON objects.  A column named in ``tables`` holds
-    integer codes into the table given for it.  Each row is one join of its
-    columns' tokens, the JSON keys and braces already folded into each
-    column's tokens, and each distinct value of a column is formatted once
-    (see ``_column``; floats exactly as fmt17, vectorised for |x| in
-    [2**-36, 2**51))."""
-    return [row for block in _row_blocks(columns, fmt, tables) for row in block]
 
 
 def record_json(fields: dict) -> str:

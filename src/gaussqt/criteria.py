@@ -47,7 +47,6 @@ __all__ = [
     "detm_epsilon_values",
     "qt_epr_values",
     "classify",
-    "report_to_json",
 ]
 
 def _delta_raw(V: np.ndarray) -> np.ndarray:
@@ -270,8 +269,3 @@ def classify(V):
         return _report(row)
     *values, codes = row.values()
     return CriteriaReport(*values), LABELS[codes]
-
-
-def report_to_json(report: CriteriaReport) -> str:
-    """Serialise a report with numbers at 17 significant digits."""
-    return core.record_json(vars(report))

@@ -24,8 +24,8 @@ two-resolution Richardson difference.
 ``_integrate`` sums u^T V u from broadcast 1-D factors, one term
 (u_i V_ij) u_j at a time, i outer and j inner: einsum's order, so the bits
 equal the (n, n, 4) einsum form kept in ``tests/conftest.py``.  Unlike
-einsum, broadcast products warn, so an overflowing grid runs the quadratic
-form under ``np.errstate`` and fails as one NumericalDomainError.
+einsum, broadcast products warn, so the grid sum runs under ``np.errstate``
+and an overflowing grid fails as one NumericalDomainError.
 """
 
 from __future__ import annotations
@@ -49,34 +49,28 @@ __all__ = [
     "fidelity_by_quadrature",
 ]
 
-_RULES = ("midpoint", "gauss-legendre")
-
 _SQRT2 = math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Truncation radius, per-axis point count, and quadrature rule; the
-    points_per_axis^2 nodes share the sweep's MAX_GRID_POINTS budget."""
+    """Truncation radius and per-axis point count of the midpoint rule, odd so
+    that a node sits on the integrand's peak at 0; the points_per_axis^2 nodes
+    share the sweep's MAX_GRID_POINTS budget."""
 
     radius: float = 6.0
     points_per_axis: int = 401
-    rule: str = "midpoint"
 
     def __post_init__(self):
         if not (isinstance(self.radius, (int, float)) and math.isfinite(self.radius)
                 and self.radius > 0):
             raise InvalidInput("radius must be a positive finite number")
         n = self.points_per_axis
-        if not (isinstance(n, int) and n >= 51):
-            raise InvalidInput("points_per_axis must be an integer >= 51")
+        if not (isinstance(n, int) and n >= 51 and n % 2):
+            raise InvalidInput("points_per_axis must be an odd integer >= 51")
         if n * n > MAX_GRID_POINTS:
             raise GridSizeError(f"quadrature grid of {n * n} points exceeds the "
                                 f"{MAX_GRID_POINTS} point budget")
-        if self.rule not in _RULES:
-            raise InvalidInput(f"rule must be one of {_RULES}")
-        if self.rule == "midpoint" and n % 2 == 0:
-            raise InvalidInput("points_per_axis must be odd for the midpoint rule")
 
 
 DEFAULT_SPEC = QuadratureSpec()
@@ -106,26 +100,21 @@ def cf_value(V, lam) -> complex:
     return complex(math.exp(-0.5 * float(u @ V @ u)))
 
 
-def _nodes(radius: float, n: int, rule: str) -> tuple[np.ndarray, np.ndarray]:
-    if rule == "midpoint":
-        h = 2.0 * radius / n
-        x = -radius + (np.arange(n) + 0.5) * h
-        w = np.full(n, h)
-    else:
-        x, w = np.polynomial.legendre.leggauss(n)
-        x = x * radius
-        w = w * radius
-    return x, w
+def _nodes(radius: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the n-point midpoint rule on [-radius, radius]."""
+    h = 2.0 * radius / n
+    return -radius + (np.arange(n) + 0.5) * h, np.full(n, h)
 
 
-def _integrate(V: np.ndarray, radius: float, n: int, rule: str) -> float:
-    """Quadrature over the n x n grid, Re l on axis 0 and Im l on axis 1.
+def _integrate(V: np.ndarray, radius: float, n: int) -> float:
+    """Midpoint quadrature over the n x n grid, Re l on axis 0 and Im l on axis 1.
 
     Order contract: q is summed term by term, i outer and j inner, to keep
-    einsum's bits; errstate silences inf * 0 on an inf-node grid, as einsum
-    did, and the caller raises on the non-finite value.
+    einsum's bits.  errstate silences inf * 0 on an inf-node grid, as einsum
+    did, and overflow in the node squares, the integrand and the weights on a
+    grid too wide for floats; the caller raises on the non-finite value.
     """
-    x, w = _nodes(radius, n, rule)
+    x, w = _nodes(radius, n)
     d = _displacement(x, x).T  # u's entries: Im l (0, 2) on axis 1, Re l on axis 0
     u = (d[0][None, :], d[1][:, None], d[2][None, :], d[3][:, None])
     q = np.zeros((n, n))
@@ -133,10 +122,10 @@ def _integrate(V: np.ndarray, radius: float, n: int, rule: str) -> float:
         for i in range(4):
             for j in range(4):
                 q += (u[i] * V[i, j]) * u[j]
-    sq = x * x
-    integrand = np.exp(-(sq[:, None] + sq[None, :]) - 0.5 * q)
-    # np.sum reduces pairwise, keeping the result order-independent
-    return float(np.sum(integrand * np.outer(w, w))) / math.pi
+        sq = x * x
+        integrand = np.exp(-(sq[:, None] + sq[None, :]) - 0.5 * q)
+        # np.sum reduces pairwise, keeping the result order-independent
+        return float(np.sum(integrand * np.outer(w, w))) / math.pi
 
 
 def fidelity_by_quadrature(V, spec: QuadratureSpec = DEFAULT_SPEC) -> QuadratureResult:
@@ -153,11 +142,9 @@ def fidelity_by_quadrature(V, spec: QuadratureSpec = DEFAULT_SPEC) -> Quadrature
     if not isinstance(spec, QuadratureSpec):
         raise InvalidInput("spec must be a QuadratureSpec")
 
-    value = _integrate(V, spec.radius, spec.points_per_axis, spec.rule)
-    n_coarse = spec.points_per_axis // 2
-    if spec.rule == "midpoint" and n_coarse % 2 == 0:
-        n_coarse += 1
-    coarse = _integrate(V, spec.radius, n_coarse, spec.rule)
+    value = _integrate(V, spec.radius, spec.points_per_axis)
+    # the coarse count is odd too, so 0 is a node of both grids
+    coarse = _integrate(V, spec.radius, spec.points_per_axis // 2 | 1)
 
     tail = 1.0 - math.erf(spec.radius) ** 2
     est_error = abs(value - coarse) + tail
@@ -169,7 +156,7 @@ def fidelity_by_quadrature(V, spec: QuadratureSpec = DEFAULT_SPEC) -> Quadrature
         warnings.warn(
             QuadratureWarning(
                 f"quadrature not converged: est_error={est_error:.3e} "
-                f"(radius={spec.radius}, points={spec.points_per_axis}, rule={spec.rule})"
+                f"(radius={spec.radius}, points={spec.points_per_axis})"
             ),
             stacklevel=2,
         )

@@ -16,6 +16,10 @@ single-mode input is squeezed in x.  Entanglement of the TMST switches on
 at r_ent (a closed form in k1, k2), EPR correlation and teleportation
 capability together at r_qt = ln(k1 + k2)/2, and the beam-splitter output
 is entangled exactly when the input is quadrature squeezed, r > ln(2k)/2.
+
+``tmst_covmat`` and ``bs_covmat`` are the constructors.  ``TmstSpec``/``tmst``
+and ``BsSpec``/``bs_resource`` wrap them for callers holding a spec object
+(perfbench's output checks); ``gaussqt`` does not export them.
 """
 
 from __future__ import annotations
@@ -41,18 +45,28 @@ __all__ = [
 ]
 
 
+def _checked(x, ok, message: str) -> np.ndarray:
+    # the one domain check of each family parameter: non-numeric, non-finite or
+    # out-of-range input raises the parameter's InvalidInput message
+    try:
+        x = np.asarray(x, dtype=float)
+    except (TypeError, ValueError):
+        raise InvalidInput(message) from None
+    if not np.all(np.isfinite(x) & ok(x)):
+        raise InvalidInput(message)
+    return x
+
+
 def _check_k(k, name: str = "k") -> np.ndarray:
-    k = np.asarray(k, dtype=float)
-    if not np.all(np.isfinite(k)) or np.any(k < 0.5):
-        raise InvalidInput(f"{name} must be >= 1/2 (thermal occupation >= 0)")
-    return k
+    return _checked(k, lambda k: k >= 0.5, f"{name} must be >= 1/2 (thermal occupation >= 0)")
 
 
 def _check_r(r) -> np.ndarray:
-    r = np.asarray(r, dtype=float)
-    if not np.all(np.isfinite(r)) or np.any(r < 0):
-        raise InvalidInput("squeeze parameter r must be >= 0")
-    return r
+    return _checked(r, lambda r: r >= 0, "squeeze parameter r must be >= 0")
+
+
+def _check_T(T) -> np.ndarray:
+    return _checked(T, lambda T: (T > 0) & (T < 1), "transmittance T must lie strictly in (0, 1)")
 
 
 def _require_finite(x: np.ndarray, names: str, what: str) -> np.ndarray:
@@ -89,12 +103,7 @@ class BsSpec:
     def __post_init__(self):
         _check_r(self.r)
         _check_k(self.k)
-        try:
-            ok = math.isfinite(self.T) and 0.0 < self.T < 1.0
-        except TypeError:
-            ok = False
-        if not ok:
-            raise InvalidInput("transmittance T must lie strictly in (0, 1)")
+        _check_T(self.T)
 
     @property
     def nonclassical_input(self) -> bool:
@@ -161,9 +170,7 @@ def bs_covmat(r, k, T) -> np.ndarray:
     """
     r = _check_r(r)
     k = _check_k(k)
-    T = np.asarray(T, dtype=float)
-    if not np.all(np.isfinite(T)) or np.any(T <= 0.0) or np.any(T >= 1.0):
-        raise InvalidInput("transmittance T must lie strictly in (0, 1)")
+    T = _check_T(T)
     r, k, T = np.broadcast_arrays(r, k, T)
     sig = single_mode_sth(r, k)
 

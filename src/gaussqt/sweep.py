@@ -7,8 +7,9 @@ fidelity and the three verdict flags at every grid point through
 one stream: ``run_sweep`` yields one dict of column arrays per chunk of
 rows (axis1, axis2 and the output row of ``criteria._evaluate``, whose
 ``class`` column holds int8 codes into ``criteria.LABELS``), and
-``text``/``write`` format each chunk as CSV or JSON as it arrives, so
-nothing grows with the grid.  Rows are ordered with axis2 varying fastest.
+``text``/``write`` format each chunk as it arrives, as CSV or JSON by
+their ``fmt`` argument, so nothing grows with the grid and one config can be
+written in both formats.  Rows are ordered with axis2 varying fastest.
 Sweep rows skip the physicality check, so a strongly squeezed row that
 ``classify`` reads as Unphysical through rounding gets a verdict here (see
 ROADMAP item 1).  ``SweepConfig`` checks the grid's corners, so a sweep
@@ -70,11 +71,14 @@ class AxisSpec:
 
 @dataclass(frozen=True)
 class SweepConfig:
+    """A validated grid: the family, its fixed r and its two axes.  The family
+    constructor, called on the grid's four corners, is the one check of the
+    axes' domain, and runs before the point budget."""
+
     family: str
     r: float
     axis1: AxisSpec
     axis2: AxisSpec
-    format: str = "csv"
 
     def __post_init__(self):
         if self.family not in _FAMILIES:
@@ -86,26 +90,15 @@ class SweepConfig:
         r = self.r
         if not (isinstance(r, (int, float)) and math.isfinite(r) and r >= 0):
             raise InvalidInput("r must be finite and >= 0")
-        if self.format not in ("csv", "json"):
-            raise InvalidInput('format must be "csv" or "json"')
-        lo1, lo2 = self.axis1.lo, self.axis2.lo
-        if self.family == "tmst":
-            if lo1 < 0.5 or lo2 < 0.5:
-                raise InvalidInput("k1 and k2 axes must start at >= 1/2")
-        else:
-            if lo1 < 0.5:
-                raise InvalidInput("k axis must start at >= 1/2")
-            if lo2 <= 0.0 or self.axis2.hi >= 1.0:
-                raise InvalidInput("T axis must stay strictly inside (0, 1)")
+        # a covariance matrix's largest entry is on its diagonal, and each family's
+        # diagonal is monotone in k and linear in T, so the four corners bound every
+        # entry: a grid that passes cannot fail mid-stream
+        a1, a2 = self.axis1, self.axis2
+        core._as_covmat(build(r, [a1.lo, a1.lo, a1.hi, a1.hi], [a2.lo, a2.hi, a2.lo, a2.hi]))
         if self.size > MAX_GRID_POINTS:
             raise GridSizeError(
                 f"grid of {self.size} points exceeds the {MAX_GRID_POINTS} point budget"
             )
-        # a covariance matrix's largest entry is on its diagonal, and each family's
-        # diagonal is monotone in k and linear in T, so the four corners bound every
-        # entry: a grid that passes cannot fail mid-stream
-        hi1, hi2 = self.axis1.hi, self.axis2.hi
-        core._as_covmat(build(r, [lo1, lo1, hi1, hi1], [lo2, hi2, lo2, hi2]))
 
     @property
     def size(self) -> int:
@@ -126,11 +119,13 @@ def run_sweep(config: SweepConfig):
         yield {"axis1": a1, "axis2": a2, **criteria._evaluate(build(r, a1, a2))}
 
 
-def text(config: SweepConfig):
-    """The sweep's text in its format, in pieces: the head, the rows of each
-    chunk in blocks of ``core._ROW_BLOCK`` (with the row separator between
-    blocks), the tail."""
-    if config.format == "csv":
+def text(config: SweepConfig, fmt: str):
+    """The sweep's text in ``fmt`` ("csv" or "json", checked before the first
+    piece), in pieces: the head, the rows of each chunk in blocks of
+    ``core._ROW_BLOCK`` (with the row separator between blocks), the tail."""
+    if fmt not in ("csv", "json"):
+        raise InvalidInput('format must be "csv" or "json"')
+    if fmt == "csv":
         head = ",".join(("axis1", "axis2", *criteria._UNPHYSICAL_ROW)) + "\n"
         sep, tail = "\n", "\n"
     else:
@@ -148,7 +143,7 @@ def text(config: SweepConfig):
         # format next(chunks) in place, and drop the last block before the next
         # chunk is computed: a variable would keep either alive meanwhile
         for i, block in enumerate(core._row_blocks(
-                _axis_codes(next(chunks), lo, config.axis2.steps), config.format, tables)):
+                _axis_codes(next(chunks), lo, config.axis2.steps), fmt, tables)):
             if lo or i:
                 yield sep
             yield sep.join(block)
@@ -163,19 +158,20 @@ def _axis_codes(chunk: dict, lo: int, steps2: int) -> dict:
     return chunk
 
 
-def write(config: SweepConfig, path) -> None:
-    """Write the sweep's text to ``path`` whole or not at all: a new file beside it (or its
-    symlink's target) replaces it when complete.  Devices and pipes are written in place."""
+def write(config: SweepConfig, path, fmt: str) -> None:
+    """Write the sweep's text in ``fmt`` (see ``text``) to ``path`` whole or not at all: a
+    new file beside it (or its symlink's target) replaces it when complete.  Devices and
+    pipes are written in place."""
     if os.path.exists(path) and not os.path.isfile(path):
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.writelines(text(config))
+            fh.writelines(text(config, fmt))
         return
     head, tail = os.path.split(os.path.realpath(path))
     tmp = os.path.join(head, f".{tail}.{secrets.token_hex(8)}.tmp")
     fh = open(tmp, "x", encoding="utf-8", newline="")
     try:
         with fh:
-            fh.writelines(text(config))
+            fh.writelines(text(config, fmt))
         if os.path.exists(path):  # keep the permissions open(path, "w") would keep
             os.chmod(tmp, os.stat(path).st_mode & 0o7777)
         os.replace(tmp, os.path.join(head, tail))

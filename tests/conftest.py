@@ -124,18 +124,13 @@ def m_matmul(V):
     return A - (C @ sz + sz @ np.swapaxes(C, -1, -2)) + sz @ B @ sz + np.eye(2)
 
 
-def integrate_einsum(V, radius, n, rule):
-    """The oracle's grid integral in its original form: an (n, n, 4) stack of
-    displacement vectors on the meshgrid and a three-operand einsum, whose
-    bits ``oracle._integrate`` must reproduce."""
-    if rule == "midpoint":
-        h = 2.0 * radius / n
-        x = -radius + (np.arange(n) + 0.5) * h
-        w = np.full(n, h)
-    else:
-        x, w = np.polynomial.legendre.leggauss(n)
-        x = x * radius
-        w = w * radius
+def integrate_einsum(V, radius, n):
+    """The oracle's midpoint grid integral in its original form: an (n, n, 4)
+    stack of displacement vectors on the meshgrid and a three-operand einsum,
+    whose bits ``oracle._integrate`` must reproduce."""
+    h = 2.0 * radius / n
+    x = -radius + (np.arange(n) + 0.5) * h
+    w = np.full(n, h)
     re, im = np.meshgrid(x, x, indexing="ij")
     u = math.sqrt(2.0) * np.stack([im, -re, -im, -re], axis=-1)
     q = np.einsum("...i,ij,...j->...", u, V, u)
@@ -144,9 +139,9 @@ def integrate_einsum(V, radius, n, rule):
 
 
 def reference_rows(columns, fmt, tables=None):
-    """``core.rows`` one value at a time: each value's own ``_token_rule``
-    token (a coded column's value looked up in its table first), then one
-    ``%s`` per field of a row template written here.  The token rules are the
+    """``core._row_blocks``'s rows, one value at a time: each value's own
+    ``_token_rule`` token (a coded column's value looked up in its table
+    first), then one ``%s`` per field of a row template written here.  The token rules are the
     package's by design; what this checks is the writer's deduplication, its
     inline conversions and its joins."""
     from gaussqt import core

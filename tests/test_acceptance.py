@@ -43,10 +43,10 @@ def test_criterion_01_closed_form_matches_quadrature():
         tmsv(0.1),
         tmsv(0.5),
         tmsv(1.0),
-        resources.tmst(resources.TmstSpec(0.48, 1.5, 0.75)),
-        resources.bs_resource(resources.BsSpec(0.5, 0.5, 0.25)),
-        resources.bs_resource(resources.BsSpec(0.5, 0.5, 0.5)),
-        resources.bs_resource(resources.BsSpec(0.5, 0.5, 0.75)),
+        resources.tmst_covmat(0.48, 1.5, 0.75),
+        resources.bs_covmat(0.5, 0.5, 0.25),
+        resources.bs_covmat(0.5, 0.5, 0.5),
+        resources.bs_covmat(0.5, 0.5, 0.75),
     ]
     t0 = time.perf_counter()
     worst = 0.0

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -355,6 +356,10 @@ def test_usage_errors_exit_3(capsys):
     code, out, err = run(capsys, "analyze", "state.json", "--quiet")  # a sweep-only flag
     assert (code, out) == (cli.EXIT_BAD_INPUT, "")
     assert len(err.splitlines()) == 1 and err.startswith("error:")
+    code, out, err = run(capsys, "oracle", "tmst", "--r", "0.5", "--k1", "1", "--k2", "1",
+                         "--rule", "midpoint")  # midpoint is the one rule
+    assert (code, out) == (cli.EXIT_BAD_INPUT, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
 
 
 def test_module_entry_point():
@@ -393,6 +398,11 @@ def test_analyze_random_states_consistent(tmp_path, capsys, rng):
     # physical, but its EPR sum and det M overflow
     (["analyze", "{near_float_range}"], "entries"),
     (["analyze", "{near_float_range}", "--format", "csv"], "entries"),
+    # node squares and weights overflow, not only the quadratic form
+    (["oracle", "tmst", "--r", "0.5", "--k1", "0.5", "--k2", "0.5", "--radius", "1e155"],
+     "quadrature"),
+    (["oracle", "tmst", "--r", "0.5", "--k1", "0.5", "--k2", "0.5", "--radius", "1e200"],
+     "quadrature"),
 ])
 def test_domain_edges_exit_3_with_one_line(argv, named, tmp_path):
     path = tmp_path / "near_float_range.json"
@@ -406,6 +416,48 @@ def test_domain_edges_exit_3_with_one_line(argv, named, tmp_path):
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert named in lines[0]
+
+
+# each family's domain is checked once, by its constructor: state and oracle
+# call it on the state, sweep on the grid's corners, so all three exit 3 with
+# one line naming the parameter.  Each parameter as (scalar, sweep axis)
+IN_DOMAIN = {"tmst": {"r": ("0.5", "0.5"), "k1": ("1", "1:2:{n}"), "k2": ("1", "1:2:{n}")},
+             "bs": {"r": ("0.5", "0.5"), "k": ("1", "1:2:{n}"), "T": ("0.5", "0.1:0.9:{n}")}}
+# out-of-domain values; a sweep axis holds the value at one of its ends
+DOMAIN_EDGES = [
+    ("tmst", "k1", ("0.4", "0.4:2:{n}")), ("tmst", "k2", ("0.4", "0.4:2:{n}")),
+    ("bs", "k", ("0.4", "0.4:2:{n}")), ("bs", "T", ("0", "0:0.9:{n}")),
+    ("bs", "T", ("1", "0.1:1:{n}")), ("tmst", "r", ("-1", "-1")), ("tmst", "r", ("nan", "nan")),
+    ("bs", "r", ("-1", "-1")), ("bs", "r", ("nan", "nan")),
+]
+
+
+def _family_argv(command, family, name, value, n=3):
+    argv = [command, family]
+    for key, (scalar, axis) in dict(IN_DOMAIN[family], **{name: value}).items():
+        argv += [f"--{key}", axis.format(n=n) if command == "sweep" else scalar]
+    return argv
+
+
+@pytest.mark.parametrize("command", ["state", "oracle", "sweep"])
+@pytest.mark.parametrize("family, name, value", DOMAIN_EDGES)
+def test_out_of_domain_parameters_exit_3_with_one_line(capsys, command, family, name, value):
+    code, out, err = run(capsys, *_family_argv(command, family, name, value))
+    assert (code, out) == (cli.EXIT_BAD_INPUT, "")
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert re.search(rf"\b{name}\b", lines[0].removeprefix("error: ")), lines[0]
+
+
+@pytest.mark.parametrize("family, name, value", [e for e in DOMAIN_EDGES if e[1] != "r"])
+def test_sweep_checks_the_domain_before_the_point_budget(capsys, family, name, value):
+    # 2001^2 points exceed the 4,000,000-point budget: an out-of-domain axis
+    # exits 3, the same grid in domain exits 4
+    code, _, err = run(capsys, *_family_argv("sweep", family, name, value, n=2001))
+    assert code == cli.EXIT_BAD_INPUT and "budget" not in err
+    in_domain = IN_DOMAIN[family][name]
+    code, _, err = run(capsys, *_family_argv("sweep", family, name, in_domain, n=2001))
+    assert code == cli.EXIT_GRID_TOO_LARGE and "budget" in err
 
 
 @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "file"])

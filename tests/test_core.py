@@ -111,7 +111,7 @@ def test_pure_squeezed_state_on_the_boundary():
 
 
 def test_symplectic_eigenvalues_frozen_thermal():
-    V = resources.tmst(resources.TmstSpec(0.48, 1.5, 0.75))
+    V = resources.tmst_covmat(0.48, 1.5, 0.75)
     nm, npl = core.symplectic_eigenvalues(V)
     assert abs(nm - 0.75) < 1e-10
     assert abs(npl - 1.5) < 1e-10
@@ -399,7 +399,7 @@ def test_to_canonical_standard_form_is_fixed_point():
 
 
 def test_to_canonical_thermal_squeezed_frozen():
-    V = resources.tmst(resources.TmstSpec(0.48, 1.5, 0.75))
+    V = resources.tmst_covmat(0.48, 1.5, 0.75)
     p, S = core.to_canonical(V)
     assert np.array_equal(S, np.eye(4))
     assert abs(p.eta - 2.0594565146615045) < 1e-12
@@ -409,7 +409,7 @@ def test_to_canonical_thermal_squeezed_frozen():
 
 
 def test_to_canonical_mixed_beam_splitter_frozen():
-    V = resources.bs_resource(resources.BsSpec(0.5, 0.5, 0.5))
+    V = resources.bs_covmat(0.5, 0.5, 0.5)
     p, S = core.to_canonical(V)
     assert abs(p.eta - 0.5638129826031905) < 1e-12
     assert abs(p.zeta - 0.5638129826031905) < 1e-12
@@ -515,9 +515,14 @@ SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 1e75, -1e75,
 LABELS = np.array(["Separable", "EntangledNoQT", "QTNoEPR", "EPRCorrelated", "Unphysical"])
 
 
+def rows(columns, fmt, tables=None):
+    """The writer's rows, its blocks flattened."""
+    return [row for block in core._row_blocks(columns, fmt, tables) for row in block]
+
+
 def assert_rows_match_reference(columns, tables=None):
     for fmt in ("csv", "json"):
-        assert core.rows(columns, fmt, tables) == reference_rows(columns, fmt, tables), fmt
+        assert rows(columns, fmt, tables) == reference_rows(columns, fmt, tables), fmt
 
 
 def tokens(column):
@@ -619,7 +624,7 @@ def test_rows_match_reference_on_special_values(rng):
     assert tokens(signed_zeros).tolist() == ["-0", "0"]
     json_tokens, codes = core._column(distinct, "json", '"x": ', "}")
     assert json_tokens[codes].tolist() == ['"x": ' + core.fmt17(v) + "}" for v in distinct]
-    assert core.rows({"z": signed_zeros}, "csv")[:2] == ["0", "-0"]
+    assert rows({"z": signed_zeros}, "csv")[:2] == ["0", "-0"]
     assert_rows_match_reference({
         "distinct": distinct,
         "repeated": repeated,
@@ -638,7 +643,7 @@ def test_rows_match_reference_with_non_finite_values(rng):
     mixed = rng.normal(size=n)
     mixed[[3, 7, 11, 19]] = [np.nan, np.inf, -np.inf, -np.nan]
     assert tokens(mixed).tolist().count("null") == 4  # nan and -nan have their own bits
-    assert core.rows({"x": mixed}, "json")[3] == '{"x": null}'
+    assert rows({"x": mixed}, "json")[3] == '{"x": null}'
     assert_rows_match_reference({
         "mixed": mixed,
         "all_nan": np.full(n, np.nan),

@@ -41,7 +41,7 @@ def tmsv(r):
 
 
 def bs(T, r=0.5, k=0.5):
-    return resources.bs_resource(resources.BsSpec(r, k, T))
+    return resources.bs_covmat(r, k, T)
 
 
 # ------------------------------------------------------- EPR uncertainty
@@ -256,7 +256,7 @@ def test_classify_frozen_labels():
     assert lab is criteria.Classification.SEPARABLE
     _, lab = criteria.classify(tmsv(0.5))
     assert lab is criteria.Classification.EPR_CORRELATED
-    _, lab = criteria.classify(resources.tmst(resources.TmstSpec(0.35, 1.5, 0.75)))
+    _, lab = criteria.classify(resources.tmst_covmat(0.35, 1.5, 0.75))
     assert lab is criteria.Classification.ENTANGLED_NO_QT
     _, lab = criteria.classify(core.from_canonical(core.CanonicalParams(1.7, 1.7, 1.5, 0.8)))
     assert lab is criteria.Classification.QT_NO_EPR
@@ -265,7 +265,7 @@ def test_classify_frozen_labels():
 def test_classify_report_frozen_values():
     rep, _ = criteria.classify(VACUUM)
     assert rep == criteria.CriteriaReport(2.0, 0.0, 4.0, 0.5, False, False, False)
-    rep, _ = criteria.classify(resources.tmst(resources.TmstSpec(0.35, 1.5, 0.75)))
+    rep, _ = criteria.classify(resources.tmst_covmat(0.35, 1.5, 0.75))
     assert abs(rep.delta_epr - TMST_DELTA) < 1e-12
     assert abs(rep.det_m - TMST_DETM) < 1e-12
     assert rep.f_epr == 0.0
@@ -355,7 +355,7 @@ def test_output_row_is_stated_once(tmp_path, capsys, monkeypatch):
     assert list(criteria._UNPHYSICAL_ROW) == names
     config = sweep.SweepConfig("tmst", 0.5, sweep.AxisSpec("k1", 0.5, 1.5, 3),
                                sweep.AxisSpec("k2", 0.5, 1.5, 3))
-    assert next(sweep.text(config)) == ",".join(["axis1", "axis2", *names]) + "\n"
+    assert next(sweep.text(config, "csv")) == ",".join(["axis1", "axis2", *names]) + "\n"
     monkeypatch.setattr(sweep, "_CHUNK", 4)
     chunks = list(sweep.run_sweep(config))
     assert len(chunks) == 3
@@ -369,9 +369,13 @@ def test_output_row_is_stated_once(tmp_path, capsys, monkeypatch):
     assert fields == [{"epr": "epr_correlated"}.get(n, n) for n in names[:7]]
 
 
+# a report is written as ``core.record_json(vars(report))``: the "report"
+# object of the analyze JSON
+
+
 def test_report_json_frozen_string():
     rep, _ = criteria.classify(VACUUM)
-    assert criteria.report_to_json(rep) == (
+    assert core.record_json(vars(rep)) == (
         '{"delta_epr": 2, "f_epr": 0, "det_m": 4, "fidelity": 0.5, '
         '"entangled": false, "epr_correlated": false, "qt": false}'
     )
@@ -379,7 +383,7 @@ def test_report_json_frozen_string():
 
 def test_report_json_roundtrips_all_digits(rng):
     rep, _ = criteria.classify(sampling.random_physical_covmats(rng, 1)[0])
-    doc = json.loads(criteria.report_to_json(rep))
+    doc = json.loads(core.record_json(vars(rep)))
     assert doc["delta_epr"] == rep.delta_epr
     assert doc["fidelity"] == rep.fidelity
     assert doc["det_m"] == rep.det_m
@@ -391,7 +395,7 @@ def test_report_json_roundtrips_all_digits(rng):
 
 def test_report_json_nan_becomes_null():
     rep, _ = criteria.classify(0.1 * np.eye(4))
-    doc = json.loads(criteria.report_to_json(rep))
+    doc = json.loads(core.record_json(vars(rep)))
     assert doc["delta_epr"] is None
     assert doc["fidelity"] is None
 

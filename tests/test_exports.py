@@ -17,3 +17,11 @@ def test_all_names_resolve(name):
     module = importlib.import_module(name)
     missing = [attr for attr in getattr(module, "__all__", ()) if not hasattr(module, attr)]
     assert missing == []
+
+
+def test_one_constructor_per_family():
+    # the spec-object wrappers stay in gaussqt.resources only
+    for name in ("tmst_covmat", "bs_covmat"):
+        assert name in gaussqt.__all__
+    for name in ("TmstSpec", "BsSpec", "tmst", "bs_resource", "report_to_json"):
+        assert name not in gaussqt.__all__ and not hasattr(gaussqt, name)

@@ -29,10 +29,10 @@ def states_under_test():
         tmsv(0.1),
         tmsv(0.5),
         tmsv(1.0),
-        resources.tmst(resources.TmstSpec(0.35, 1.5, 0.75)),
-        resources.tmst(resources.TmstSpec(0.48, 1.5, 0.75)),
-        resources.bs_resource(resources.BsSpec(0.5, 0.5, 0.25)),
-        resources.bs_resource(resources.BsSpec(0.5, 0.5, 0.75)),
+        resources.tmst_covmat(0.35, 1.5, 0.75),
+        resources.tmst_covmat(0.48, 1.5, 0.75),
+        resources.bs_covmat(0.5, 0.5, 0.25),
+        resources.bs_covmat(0.5, 0.5, 0.75),
     ]
 
 
@@ -48,17 +48,14 @@ def test_quadrature_spec_validation():
         oracle.QuadratureSpec(points_per_axis=41)
     with pytest.raises(InvalidInput):
         oracle.QuadratureSpec(points_per_axis=100)  # midpoint needs odd counts
-    with pytest.raises(InvalidInput):
-        oracle.QuadratureSpec(rule="simpson")
-    spec = oracle.QuadratureSpec(points_per_axis=100, rule="gauss-legendre")
-    assert spec.points_per_axis == 100
-    # the sweep's point budget: 1999^2 and 2000^2 fit, 2001^2 does not
+    with pytest.raises(TypeError):  # midpoint is the one rule
+        oracle.QuadratureSpec(rule="gauss-legendre")
+    # the sweep's point budget: 1999^2 fits, 2001^2 does not
     assert 2000 ** 2 == MAX_GRID_POINTS
-    oracle.QuadratureSpec(points_per_axis=1999)
-    oracle.QuadratureSpec(points_per_axis=2000, rule="gauss-legendre")
-    for n, rule in ((2001, "midpoint"), (2002, "gauss-legendre"), (100_001, "midpoint")):
+    assert oracle.QuadratureSpec(points_per_axis=1999).points_per_axis == 1999
+    for n in (2001, 2003, 100_001):
         with pytest.raises(GridSizeError, match="exceeds the 4000000 point budget"):
-            oracle.QuadratureSpec(points_per_axis=n, rule=rule)
+            oracle.QuadratureSpec(points_per_axis=n)
     assert oracle.DEFAULT_SPEC.radius == 6.0
     assert oracle.DEFAULT_SPEC.points_per_axis == 401
 
@@ -90,7 +87,7 @@ def test_cf_squeezed_decay_directions():
 
 
 def test_cf_asymmetric_state_distinguishes_axes():
-    V = resources.bs_resource(resources.BsSpec(0.5, 0.5, 0.3))
+    V = resources.bs_covmat(0.5, 0.5, 0.3)
     p_combo = V[1, 1] + V[3, 3] + 2 * V[1, 3]
     x_combo = V[0, 0] + V[2, 2] - 2 * V[0, 2]
     t = 1.3
@@ -134,7 +131,7 @@ def test_quadrature_matches_closed_form_on_random_states(rng):
 def test_quadrature_plateau_on_coarse_grids():
     # the integrand is an entire Gaussian: midpoint converges to machine
     # precision well before the default resolution
-    V = resources.tmst(resources.TmstSpec(1.2, 2.5, 2.0))
+    V = resources.tmst_covmat(1.2, 2.5, 2.0)
     want = criteria.fidelity(V)
     for n in (51, 101, 201, 401):
         spec = oracle.QuadratureSpec(points_per_axis=n)
@@ -146,13 +143,6 @@ def test_quadrature_radius_robust():
         a = oracle.fidelity_by_quadrature(V, oracle.QuadratureSpec(radius=6.0)).value
         b = oracle.fidelity_by_quadrature(V, oracle.QuadratureSpec(radius=8.0)).value
         assert abs(a - b) < 1e-10
-
-
-def test_quadrature_gauss_legendre_agrees():
-    spec = oracle.QuadratureSpec(rule="gauss-legendre", points_per_axis=200)
-    for V in (tmsv(0.5), resources.bs_resource(resources.BsSpec(0.5, 0.5, 0.3))):
-        res = oracle.fidelity_by_quadrature(V, spec)
-        assert abs(res.value - criteria.fidelity(V)) < 1e-10
 
 
 def test_quadrature_warns_when_under_resolved():
@@ -169,7 +159,7 @@ def test_quadrature_warns_when_under_resolved():
 
 
 def test_quadrature_is_deterministic():
-    V = resources.bs_resource(resources.BsSpec(0.5, 0.5, 0.3))
+    V = resources.bs_covmat(0.5, 0.5, 0.3)
     a = oracle.fidelity_by_quadrature(V)
     b = oracle.fidelity_by_quadrature(V)
     assert a.value == b.value
@@ -190,14 +180,12 @@ def test_integrate_is_bit_identical_to_the_einsum_form(rng):
                              np.array([0.3, 0.8])),
         VACUUM,
     ]
-    grids = [("midpoint", n) for n in (51, 201, 401)]
-    grids += [("gauss-legendre", n) for n in (100, 200)]
-    for rule, n in grids:
+    for n in (51, 201, 401):
         for radius in (3.0, 6.0, 9.0):
             for k, V in enumerate(states):
-                got = oracle._integrate(V, radius, n, rule)
-                want = integrate_einsum(V, radius, n, rule)
-                assert bits(got) == bits(want), (rule, n, radius, k)
+                got = oracle._integrate(V, radius, n)
+                want = integrate_einsum(V, radius, n)
+                assert bits(got) == bits(want), (n, radius, k)
     # cf_value's displacement on the meshgrid is the broadcast of the 1-D
     # factors _integrate builds, so the two cannot drift apart
     x = np.linspace(-6.0, 6.0, 51)
@@ -214,7 +202,7 @@ def test_integrate_peak_memory_stays_below_five_grids():
     V = resources.tmst_covmat(0.5, 1.5, 0.75)
     tracemalloc.start()
     try:
-        oracle._integrate(V, 6.0, n, "midpoint")
+        oracle._integrate(V, 6.0, n)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -224,7 +212,7 @@ def test_integrate_peak_memory_stays_below_five_grids():
 def test_quadrature_against_adaptive_integrator():
     # fully independent numerical route: scipy's adaptive quadrature over
     # the same integrand written from scratch
-    for V in (tmsv(0.5), resources.bs_resource(resources.BsSpec(0.5, 0.5, 0.3))):
+    for V in (tmsv(0.5), resources.bs_covmat(0.5, 0.5, 0.3)):
         Vm = np.asarray(V)
 
         def integrand(im, re):

@@ -47,11 +47,39 @@ def test_spec_validation():
     assert not resources.BsSpec(0.1, 1.0, 0.5).nonclassical_input
 
 
+@pytest.mark.parametrize("T", [0, 1, math.nan, math.inf, "a"])
+def test_spec_and_constructor_share_the_transmittance_check(T):
+    for build in (resources.BsSpec, resources.bs_covmat):
+        with pytest.raises(InvalidInput) as exc:
+            build(0.5, 1.0, T)
+        assert str(exc.value) == "transmittance T must lie strictly in (0, 1)"
+
+
+def test_non_numeric_parameters_are_invalid_input():
+    for build in (resources.TmstSpec, resources.tmst_covmat):
+        with pytest.raises(InvalidInput, match="squeeze parameter r"):
+            build("a", 1.0, 1.0)
+        with pytest.raises(InvalidInput, match="k1 must be"):
+            build(0.5, "a", 1.0)
+        with pytest.raises(InvalidInput, match="k2 must be"):
+            build(0.5, 1.0, object())
+    for build in (resources.BsSpec, resources.bs_covmat):
+        with pytest.raises(InvalidInput, match="k must be"):
+            build(0.5, [1.0, "a"], 0.5)
+
+
+def test_spec_wrappers_build_the_constructors_matrices():
+    assert np.array_equal(resources.tmst(resources.TmstSpec(0.48, 1.5, 0.75)),
+                          resources.tmst_covmat(0.48, 1.5, 0.75))
+    assert np.array_equal(resources.bs_resource(resources.BsSpec(0.5, 0.5, 0.3)),
+                          resources.bs_covmat(0.5, 0.5, 0.3))
+
+
 # ------------------------------------------------------ squeezed thermal
 
 
 def test_tmst_no_squeezing_is_thermal_product():
-    V = resources.tmst(resources.TmstSpec(0.0, 1.5, 0.75))
+    V = resources.tmst_covmat(0.0, 1.5, 0.75)
     assert np.array_equal(V, np.diag([1.5, 1.5, 0.75, 0.75]))
 
 
@@ -59,7 +87,7 @@ def test_tmst_vacuum_input_reproduces_pure_squeezed():
     for r in (0.1, 0.5, 1.0):
         S = two_mode_squeezer(r)
         want = S @ (0.5 * np.eye(4)) @ S.T
-        got = resources.tmst(resources.TmstSpec(r, 0.5, 0.5))
+        got = resources.tmst_covmat(r, 0.5, 0.5)
         assert np.max(np.abs(got - want)) < 1e-12
 
 
@@ -69,12 +97,12 @@ def test_tmst_matches_symplectic_product(rng):
         k1, k2 = rng.uniform(0.5, 3.0, size=2)
         S = two_mode_squeezer(r)
         want = S @ np.diag([k1, k1, k2, k2]) @ S.T
-        got = resources.tmst(resources.TmstSpec(r, k1, k2))
+        got = resources.tmst_covmat(r, k1, k2)
         assert np.max(np.abs(got - want)) < 1e-11
 
 
 def test_tmst_block_structure():
-    V = resources.tmst(resources.TmstSpec(0.48, 1.5, 0.75))
+    V = resources.tmst_covmat(0.48, 1.5, 0.75)
     A, B, C = core.blocks(V)
     assert np.array_equal(A, A[0, 0] * np.eye(2))
     assert np.array_equal(B, B[0, 0] * np.eye(2))
@@ -92,7 +120,7 @@ def test_tmst_epr_identity(rng):
     for _ in range(1000):
         r = rng.uniform(0.0, 2.0)
         k1, k2 = rng.uniform(0.5, 4.0, size=2)
-        V = resources.tmst(resources.TmstSpec(r, k1, k2))
+        V = resources.tmst_covmat(r, k1, k2)
         lhs = V[0, 0] + V[2, 2] - 2.0 * V[0, 2]
         assert abs(lhs - math.exp(-2 * r) * (k1 + k2)) < 1e-11 * (k1 + k2)
 
@@ -102,7 +130,7 @@ def test_tmst_spectrum_is_squeezing_invariant(rng):
         k1, k2 = sorted(rng.uniform(0.5, 3.0, size=2))
         for r in (0.0, 0.5, 1.3):
             nm, npl = core.symplectic_eigenvalues(
-                resources.tmst(resources.TmstSpec(r, k1, k2))
+                resources.tmst_covmat(r, k1, k2)
             )
             assert abs(nm - k1) < 1e-9
             assert abs(npl - k2) < 1e-9
@@ -112,7 +140,7 @@ def test_tmst_already_in_standard_form(rng):
     for _ in range(50):
         r = rng.uniform(0.0, 1.5)
         k1, k2 = rng.uniform(0.5, 3.0, size=2)
-        p, S = core.to_canonical(resources.tmst(resources.TmstSpec(r, k1, k2)))
+        p, S = core.to_canonical(resources.tmst_covmat(r, k1, k2))
         assert np.array_equal(S, np.eye(4))
         assert p.c1 == p.c2
 
@@ -154,12 +182,12 @@ def test_single_mode_sth_validation():
 
 
 def test_bs_identity_input_passes_vacuum_through():
-    V = resources.bs_resource(resources.BsSpec(0.0, 0.5, 0.5))
+    V = resources.bs_covmat(0.0, 0.5, 0.5)
     assert np.max(np.abs(V - 0.5 * np.eye(4))) < 1e-15
 
 
 def test_bs_frozen_blocks():
-    V = resources.bs_resource(resources.BsSpec(0.5, 0.5, 0.5))
+    V = resources.bs_covmat(0.5, 0.5, 0.5)
     A, B, C = core.blocks(V)
     assert abs(A[0, 0] - BS_A_DIAG[0]) < 1e-15
     assert abs(A[1, 1] - BS_A_DIAG[1]) < 1e-15
@@ -174,7 +202,7 @@ def test_bs_matches_block_formulas(rng):
         r = rng.uniform(0.0, 1.2)
         k = rng.uniform(0.5, 2.5)
         T = rng.uniform(0.05, 0.95)
-        V = resources.bs_resource(resources.BsSpec(r, k, T))
+        V = resources.bs_covmat(r, k, T)
         A, B, C = core.blocks(V)
         Aw, Bw, Cw = squeezed_thermal_blocks(r, k, T)
         assert np.max(np.abs(A - Aw)) < 1e-12
@@ -184,16 +212,15 @@ def test_bs_matches_block_formulas(rng):
 
 def test_bs_output_is_exactly_symmetric(rng):
     for _ in range(50):
-        V = resources.bs_resource(
-            resources.BsSpec(rng.uniform(0, 1.2), rng.uniform(0.5, 2.5), rng.uniform(0.05, 0.95))
-        )
+        V = resources.bs_covmat(rng.uniform(0, 1.2), rng.uniform(0.5, 2.5),
+                                rng.uniform(0.05, 0.95))
         assert np.array_equal(V, V.T)
         assert core.validate(V).physical
 
 
 def test_bs_transmission_symmetry_swaps_modes():
-    V1 = resources.bs_resource(resources.BsSpec(0.5, 0.5, 0.25))
-    V2 = resources.bs_resource(resources.BsSpec(0.5, 0.5, 0.75))
+    V1 = resources.bs_covmat(0.5, 0.5, 0.25)
+    V2 = resources.bs_covmat(0.5, 0.5, 0.75)
     swap = np.zeros((4, 4))
     swap[0, 2] = swap[1, 3] = swap[2, 0] = swap[3, 1] = 1.0
     assert np.max(np.abs(swap @ V1 @ swap - V2)) < 1e-13
@@ -204,7 +231,7 @@ def test_bs_purity_preserved_for_pure_input(rng):
     for _ in range(50):
         r = rng.uniform(0.0, 1.2)
         T = rng.uniform(0.05, 0.95)
-        V = resources.bs_resource(resources.BsSpec(r, 0.5, T))
+        V = resources.bs_covmat(r, 0.5, T)
         assert abs(np.linalg.det(V) - 0.0625) < 1e-13
 
 
@@ -217,7 +244,7 @@ def test_bs_entangled_iff_nonclassical_input():
             if r < 0:
                 continue
             for T in (0.2, 0.5, 0.8):
-                V = resources.bs_resource(resources.BsSpec(r, k, T))
+                V = resources.bs_covmat(r, k, T)
                 ent = core.simon_inseparable(V).ppt_entangled
                 assert ent == (dr > 0), (k, r, T)
 
@@ -233,7 +260,7 @@ def test_balanced_splitter_ties_criteria_together(rng):
     for _ in range(100):
         r = rng.uniform(0.0, 1.2)
         k = rng.uniform(0.5, 2.5)
-        V = resources.bs_resource(resources.BsSpec(r, k, 0.5))
+        V = resources.bs_covmat(r, k, 0.5)
         delta = criteria.epr_uncertainty(V)
         detm = float(np.linalg.det(criteria.m_matrix(V)))
         assert abs(detm - 2.0 * delta) < 1e-12
@@ -265,7 +292,7 @@ def test_entanglement_threshold_against_bisection(rng):
         k1, k2 = rng.uniform(0.51, 3.0, size=2)
 
         def gap(r):
-            V = resources.tmst(resources.TmstSpec(r, k1, k2))
+            V = resources.tmst_covmat(r, k1, k2)
             return float(det_block_ppt_nu(V)) - 0.5
 
         r_formula = resources.r_ent_threshold(k1, k2)
@@ -278,7 +305,7 @@ def test_teleportation_threshold_against_bisection(rng):
         k1, k2 = rng.uniform(0.51, 3.0, size=2)
 
         def gap(r):
-            V = resources.tmst(resources.TmstSpec(r, k1, k2))
+            V = resources.tmst_covmat(r, k1, k2)
             return float(np.linalg.det(m_entries(V))) - 4.0
 
         r_formula = resources.r_qt_threshold(k1, k2)
@@ -290,12 +317,12 @@ def test_threshold_onset_flips_verdicts():
     for k1, k2 in ((1.0, 1.0), (1.5, 0.75), (2.2, 0.9)):
         r_e = resources.r_ent_threshold(k1, k2)
         r_q = resources.r_qt_threshold(k1, k2)
-        below = resources.tmst(resources.TmstSpec(r_e - 1e-4, k1, k2))
-        above = resources.tmst(resources.TmstSpec(r_e + 1e-4, k1, k2))
+        below = resources.tmst_covmat(r_e - 1e-4, k1, k2)
+        above = resources.tmst_covmat(r_e + 1e-4, k1, k2)
         assert not core.simon_inseparable(below).ppt_entangled
         assert core.simon_inseparable(above).ppt_entangled
-        below_q = resources.tmst(resources.TmstSpec(r_q - 1e-4, k1, k2))
-        above_q = resources.tmst(resources.TmstSpec(r_q + 1e-4, k1, k2))
+        below_q = resources.tmst_covmat(r_q - 1e-4, k1, k2)
+        above_q = resources.tmst_covmat(r_q + 1e-4, k1, k2)
         assert np.linalg.det(criteria.m_matrix(below_q)) >= 4.0
         assert np.linalg.det(criteria.m_matrix(above_q)) < 4.0
 

@@ -21,13 +21,12 @@ from conftest import reference_rows
 HEADER = "axis1,axis2,delta_epr,f_epr,det_m,fidelity,entangled,epr,qt,class"
 
 
-def tiny_tmst(steps1=2, steps2=3, fmt="csv"):
+def tiny_tmst(steps1=2, steps2=3):
     return sweep.SweepConfig(
         family="tmst",
         r=0.48,
         axis1=sweep.AxisSpec("k1", 0.5, 1.5, steps1),
         axis2=sweep.AxisSpec("k2", 0.5, 2.5, steps2),
-        format=fmt,
     )
 
 
@@ -37,8 +36,8 @@ def columns(config):
     return {name: np.concatenate([chunk[name] for chunk in chunks]) for name in chunks[0]}
 
 
-def text(config):
-    return "".join(sweep.text(config))
+def text(config, fmt="csv"):
+    return "".join(sweep.text(config, fmt))
 
 
 # ------------------------------------------------------------ validation
@@ -82,10 +81,8 @@ def test_sweep_config_validation():
             axis1=sweep.AxisSpec("k", 0.5, 1.0, 3),
             axis2=sweep.AxisSpec("T", 0.0, 0.9, 3),
         )
-    with pytest.raises(InvalidInput):
-        sweep.SweepConfig(
-            family="tmst", r=0.1, axis1=ax, axis2=ax2, format="yaml"
-        )
+    with pytest.raises(InvalidInput, match="format"):  # checked before the first piece
+        next(sweep.text(sweep.SweepConfig(family="tmst", r=0.1, axis1=ax, axis2=ax2), "yaml"))
 
 
 def test_sweep_config_is_frozen_and_hashable():
@@ -95,7 +92,8 @@ def test_sweep_config_is_frozen_and_hashable():
         c.r = 400  # validated once: the grid's corner check stays true
     assert c == tiny_tmst(3, 3)
     assert hash(c) == hash(tiny_tmst(3, 3))
-    assert len({c, tiny_tmst(3, 3), tiny_tmst(3, 3, fmt="json")}) == 2
+    assert len({c, tiny_tmst(3, 3), tiny_tmst(2, 3)}) == 2
+    assert [f.name for f in dataclasses.fields(c)] == ["family", "r", "axis1", "axis2"]
 
 
 def test_grid_budget_enforced():
@@ -113,6 +111,16 @@ def test_grid_budget_enforced():
         axis2=sweep.AxisSpec("k2", 0.5, 1.0, 2000),
     )
     assert cfg.size == 4_000_000
+    # the corner check runs first: a grid over budget whose corners pass
+    # core.MAX_ENTRY is bad input, not a budget error
+    with pytest.raises(InvalidInput, match="entries") as exc:
+        sweep.SweepConfig(
+            family="tmst",
+            r=80,
+            axis1=sweep.AxisSpec("k1", 0.5, 4e6, 3000),
+            axis2=sweep.AxisSpec("k2", 0.5, 1.0, 3000),
+        )
+    assert not isinstance(exc.value, GridSizeError)
 
 
 # ------------------------------------------------------------- evaluation
@@ -128,7 +136,7 @@ def test_run_sweep_row_order_and_values():
     assert np.array_equal(grid["axis1"], want1)
     assert np.array_equal(grid["axis2"], want2)
     for i in range(6):
-        V = resources.tmst(resources.TmstSpec(0.48, grid["axis1"][i], grid["axis2"][i]))
+        V = resources.tmst_covmat(0.48, grid["axis1"][i], grid["axis2"][i])
         rep, lab = criteria.classify(V)
         assert abs(grid["delta_epr"][i] - rep.delta_epr) < 1e-12
         assert abs(grid["det_m"][i] - rep.det_m) < 1e-12
@@ -150,7 +158,7 @@ def test_run_sweep_bs_family():
     grid = columns(cfg)
     assert grid["axis1"].size == 9
     for i in range(9):
-        V = resources.bs_resource(resources.BsSpec(0.5, grid["axis1"][i], grid["axis2"][i]))
+        V = resources.bs_covmat(0.5, grid["axis1"][i], grid["axis2"][i])
         rep, _ = criteria.classify(V)
         assert abs(grid["fidelity"][i] - rep.fidelity) < 1e-12
 
@@ -213,8 +221,8 @@ def test_csv_floats_roundtrip():
 
 
 def test_json_layout():
-    grid = columns(tiny_tmst(fmt="json"))
-    doc = json.loads(text(tiny_tmst(fmt="json")))
+    grid = columns(tiny_tmst())
+    doc = json.loads(text(tiny_tmst(), "json"))
     assert doc["config"]["family"] == "tmst"
     assert doc["config"]["fixed"] == {"r": 0.48}
     assert doc["config"]["axis1"] == {"name": "k1", "min": 0.5, "max": 1.5, "steps": 2}
@@ -233,7 +241,7 @@ def test_text_matches_the_reference_writer(monkeypatch, chunk, family, fmt, step
     monkeypatch.setattr(sweep, "_CHUNK", chunk)
     axes = (("k1", 0.5, 2.5), ("k2", 0.5, 2.5)) if family == "tmst" else (
         ("k", 0.5, 2.0), ("T", 0.05, 0.95))
-    cfg = sweep.SweepConfig(family=family, r=0.48, format=fmt,
+    cfg = sweep.SweepConfig(family=family, r=0.48,
                             **{key: sweep.AxisSpec(*axis, steps)
                                for key, axis in zip(("axis1", "axis2"), axes)})
     sorted_columns = []
@@ -244,7 +252,7 @@ def test_text_matches_the_reference_writer(monkeypatch, chunk, family, fmt, step
         return real(ar, *args, **kwargs)
 
     monkeypatch.setattr(core.np, "unique", spy)
-    pieces = list(sweep.text(cfg))
+    pieces = list(sweep.text(cfg, fmt))
     monkeypatch.undo()
     sep = "\n" if fmt == "csv" else ",\n    "
     want = [row for columns in sweep.run_sweep(cfg)
@@ -273,27 +281,27 @@ def test_sweep_is_deterministic():
 
 def test_write_csv_file(tmp_path):
     path = tmp_path / "grid.csv"
-    sweep.write(tiny_tmst(), path)
+    sweep.write(tiny_tmst(), path, "csv")
     written = path.read_text()
     assert written == text(tiny_tmst())
     assert written.startswith(HEADER)
-    sweep.write(tiny_tmst(fmt="json"), path)
-    assert json.loads(path.read_text())["config"]["family"] == "tmst"
+    sweep.write(tiny_tmst(), path, "json")  # one config, both formats
+    assert path.read_text() == text(tiny_tmst(), "json")
 
 
 def test_write_failing_mid_stream_leaves_no_file(tmp_path, monkeypatch):
-    def failing_text(config):
+    def failing_text(config, fmt):
         yield HEADER + "\n"
         raise OSError("disk full")
 
     monkeypatch.setattr(sweep, "text", failing_text)
     path = tmp_path / "grid.csv"
     with pytest.raises(OSError, match="disk full"):
-        sweep.write(tiny_tmst(), path)
+        sweep.write(tiny_tmst(), path, "csv")
     assert list(tmp_path.iterdir()) == []
     path.write_text("old")  # an existing file is kept whole
     with pytest.raises(OSError, match="disk full"):
-        sweep.write(tiny_tmst(), path)
+        sweep.write(tiny_tmst(), path, "csv")
     assert list(tmp_path.iterdir()) == [path]
     assert path.read_text() == "old"
 
@@ -303,11 +311,11 @@ def test_write_gives_the_mode_open_gives(tmp_path):
     with open(reference, "w"):
         pass
     path = tmp_path / "grid.csv"
-    sweep.write(tiny_tmst(), path)
+    sweep.write(tiny_tmst(), path, "csv")
     assert stat.S_IMODE(path.stat().st_mode) == stat.S_IMODE(reference.stat().st_mode)
     assert sorted(tmp_path.iterdir()) == [path, reference]
     path.chmod(0o600)  # an existing file keeps its permissions, as with open
-    sweep.write(tiny_tmst(), path)
+    sweep.write(tiny_tmst(), path, "csv")
     assert stat.S_IMODE(path.stat().st_mode) == 0o600
 
 
@@ -316,14 +324,14 @@ def test_write_through_a_symlink_replaces_its_target(tmp_path):
     target.write_text("old")
     link = tmp_path / "link.csv"
     link.symlink_to(target)
-    sweep.write(tiny_tmst(), link)
+    sweep.write(tiny_tmst(), link, "csv")
     assert link.is_symlink()
     assert target.read_text() == text(tiny_tmst())
     assert sorted(tmp_path.iterdir()) == [target, link]
 
 
 def test_write_to_a_device_writes_in_place():
-    sweep.write(tiny_tmst(), os.devnull)
+    sweep.write(tiny_tmst(), os.devnull, "csv")
     assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
 
 
@@ -332,13 +340,13 @@ def test_write_memory_is_bounded_by_the_chunk(tmp_path, monkeypatch, family, fmt
     monkeypatch.setattr(sweep, "_CHUNK", 1024)
     axes = (("k1", 0.5, 3.0), ("k2", 0.5, 3.0)) if family == "tmst" else (
         ("k", 0.5, 3.0), ("T", 0.05, 0.95))
-    cfg = sweep.SweepConfig(family=family, r=0.5, format=fmt,
+    cfg = sweep.SweepConfig(family=family, r=0.5,
                             **{key: sweep.AxisSpec(*axis, 200)
                                for key, axis in zip(("axis1", "axis2"), axes)})
     path = tmp_path / f"grid.{fmt}"
     tracemalloc.start()
     try:  # compute and write: no array or text grows with the grid
-        sweep.write(cfg, path)
+        sweep.write(cfg, path, fmt)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -351,7 +359,7 @@ def test_json_text_peak_stays_at_its_compute_peak():
     # holds meanwhile: 25,739 bytes here before float columns were formatted by
     # _fmt17_tokens in row blocks (numpy 2.4.6), against about 17 MB more had a
     # chunk's rows or float tokens been held whole at once
-    cfg = sweep.SweepConfig(family="bs", r=0.48, format="json",
+    cfg = sweep.SweepConfig(family="bs", r=0.48,
                             axis1=sweep.AxisSpec("k", 0.5, 2.0, 400),
                             axis2=sweep.AxisSpec("T", 0.05, 0.95, 400))
     assert cfg.size >= 2 * sweep._CHUNK
@@ -360,7 +368,7 @@ def test_json_text_peak_stays_at_its_compute_peak():
         collections.deque(sweep.run_sweep(cfg), maxlen=0)
         compute = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
-        collections.deque(sweep.text(cfg), maxlen=0)
+        collections.deque(sweep.text(cfg, "json"), maxlen=0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -378,10 +386,10 @@ REFERENCE_SWEEPS = [
 
 @pytest.mark.parametrize("family, fmt, axes, sha256", REFERENCE_SWEEPS)
 def test_reference_sweeps_keep_their_bytes(family, fmt, axes, sha256):
-    cfg = sweep.SweepConfig(family=family, r=0.48, format=fmt,
+    cfg = sweep.SweepConfig(family=family, r=0.48,
                             axis1=sweep.AxisSpec(*axes[0]), axis2=sweep.AxisSpec(*axes[1]))
     digest = hashlib.sha256()
-    for piece in sweep.text(cfg):
+    for piece in sweep.text(cfg, fmt):
         digest.update(piece.encode())
     assert digest.hexdigest() == sha256
 
