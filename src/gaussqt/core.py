@@ -58,15 +58,15 @@ J2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 OMEGA = np.block([[J2, np.zeros((2, 2))], [np.zeros((2, 2)), J2]])
 VACUUM = 0.5 * np.eye(4)
 
-# mode-b momentum sign flip implementing partial transposition
-_PT = np.diag([1.0, 1.0, 1.0, -1.0])
+# partial transposition Lambda V Lambda, Lambda = diag(1, 1, 1, -1), as an elementwise sign mask
+_PT = np.outer([1.0, 1.0, 1.0, -1.0], [1.0, 1.0, 1.0, -1.0])
 
 PHYSICALITY_TOL = 1e-10
 SYMMETRY_TOL = 1e-12
 JSON_CONVENTION = "xpxp-vac-half"
 
-# det V is quartic in the entries (and LU pivots can grow 8-fold), so this
-# bound keeps every determinant, sum and spectrum the package forms finite
+# det V is quartic in the entries, so this bound keeps every determinant, sum
+# and spectrum the package forms finite
 MAX_ENTRY = 1e75
 
 
@@ -169,13 +169,13 @@ def partial_transpose(V) -> np.ndarray:
     V = _as_covmat(V)
     if not np.all(_is_symmetric(V)):
         raise InvalidInput("partial_transpose expects a symmetric matrix")
-    return _PT @ V @ _PT
+    return V * _PT
 
 
 def ppt_nu_minus(V) -> np.ndarray | float:
     """Smallest symplectic eigenvalue of the partial transpose."""
     V = _as_covmat(V)
-    nm, _ = _sym_eigs(_PT @ V @ _PT)
+    nm, _ = _sym_eigs(V * _PT)
     return float(nm) if nm.ndim == 0 else nm
 
 
@@ -223,11 +223,9 @@ def _ppt_entangled(V: np.ndarray) -> np.ndarray:
 
 def simon_lhs(V) -> np.ndarray | float:
     """Left-hand side 4*(det A + det B - 2 det C) - 16 det V of the
-    determinant-based inseparability test (entangled iff > 1)."""
-    V = _as_covmat(V)
-    A, B, C = V[..., :2, :2], V[..., 2:, 2:], V[..., :2, 2:]
-    delta_pt = _det2(A) + _det2(B) - 2.0 * _det2(C)
-    out = 4.0 * delta_pt - 16.0 * np.linalg.det(V)
+    determinant-based inseparability test (entangled iff > 1), from ``_block_dets``."""
+    det_a, det_b, det_c, det_v = _block_dets(_as_covmat(V))
+    out = 4.0 * (det_a + det_b - 2.0 * det_c) - 16.0 * det_v
     return float(out) if out.ndim == 0 else out
 
 
@@ -368,11 +366,11 @@ def _canonical(V: np.ndarray) -> tuple[CanonicalParams, np.ndarray]:
     else:
         U, s, Vt = np.linalg.svd(C1)
         d1, d2 = s[0], s[1]
-        if np.linalg.det(U) < 0:
+        if _det2(U) < 0:
             U = U.copy()
             U[:, 1] *= -1.0
             d2 = -d2
-        if np.linalg.det(Vt) < 0:
+        if _det2(Vt) < 0:
             Vt = Vt.copy()
             Vt[1, :] *= -1.0
             d2 = -d2
@@ -591,22 +589,26 @@ def _column(column: np.ndarray, fmt: str, before: str = "", after: str = "",
 _ROW_BLOCK = 1024
 
 
-def _row_blocks(columns: dict, fmt: str, tables: dict | None = None):
-    """Text rows of equal-length, non-empty 1-D columns, keys in dict order, in
-    lists of up to _ROW_BLOCK rows: CSV values or one-line JSON objects.  A
-    column named in ``tables`` holds integer codes into the table given for it.
-    Each row is one join of its columns' tokens, the JSON keys and braces
-    already folded into each column's tokens, and each distinct value of a
-    column is formatted once (see ``_column``; floats exactly as fmt17,
-    vectorised for |x| in [2**-36, 2**51))."""
+def _column_tokens(columns: dict, fmt: str, tables: dict | None = None) -> tuple[str, list]:
+    """The field separator and each column's ``_column`` tokens and codes, the JSON
+    keys and braces folded into the tokens; a column named in ``tables`` holds
+    integer codes into the table given for it."""
     tables = tables or {}
     if fmt == "csv":
         sep, before, after = ",", [""] * len(columns), [""] * len(columns)
     else:
         sep, before, after = ", ", [f'"{k}": ' for k in columns], [""] * len(columns)
         before[0], after[-1] = "{" + before[0], "}"
-    tokens = [_column(column, fmt, b, a, tables.get(name))
-              for (name, column), b, a in zip(columns.items(), before, after)]
+    return sep, [_column(column, fmt, b, a, tables.get(name))
+                 for (name, column), b, a in zip(columns.items(), before, after)]
+
+
+def _row_blocks(columns: dict, fmt: str, tables: dict | None = None):
+    """Text rows of equal-length, non-empty 1-D columns, keys in dict order, in
+    lists of up to _ROW_BLOCK rows: CSV values or one-line JSON objects, each one
+    join of its columns' tokens (``_column_tokens``; each distinct value of a
+    column formatted once, floats exactly as fmt17)."""
+    sep, tokens = _column_tokens(columns, fmt, tables)
     for lo in range(0, tokens[0][1].size, _ROW_BLOCK):
         yield list(map(sep.join, zip(*[column[codes[lo:lo + _ROW_BLOCK]].tolist()
                                         for column, codes in tokens])))
@@ -637,7 +639,7 @@ def covmat_from_json(text: str) -> np.ndarray:
     in every error message."""
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer past Python's digit limit
         raise InvalidInput(f"not valid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise InvalidInput("top level must be a JSON object")
@@ -658,8 +660,12 @@ def covmat_from_json(text: str) -> np.ndarray:
     )
     if not ok:
         raise InvalidInput('field "matrix" must be a 4x4 array of numbers')
-    V = np.array(m, dtype=float)
-    if not np.all(np.isfinite(V)):
+    try:  # an integer literal past the float range overflows: not finite either
+        V = np.array(m, dtype=float)
+        finite = np.all(np.isfinite(V))
+    except OverflowError:
+        finite = False
+    if not finite:
         raise InvalidInput('field "matrix" contains non-finite values')
     return V
 

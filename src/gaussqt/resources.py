@@ -6,9 +6,9 @@ Two families are provided:
   thermal parameters k_i = n_i + 1/2, already in standard form with
   eta = mu^2 k1 + nu^2 k2, zeta = nu^2 k1 + mu^2 k2, c1 = c2 =
   mu nu (k1 + k2), mu = cosh r, nu = sinh r;
-* beam-splitter outputs: a single-mode squeezed thermal state
-  sigma = diag(k e^{-2r}, k e^{2r}) mixed with vacuum on a transmittance-T
-  beam splitter, computed as the explicit product S_BS (sigma (+) I/2) S_BS^T.
+* beam-splitter outputs: a squeezed thermal mode sigma = diag(s) = diag(k e^{-2r},
+  k e^{2r}) mixed with vacuum on a transmittance-T beam splitter, in closed form
+  A = diag(T s + (1-T)/2), B = diag((1-T) s + T/2), C = sqrt(T(1-T)) diag(1/2 - s).
 
 The squeezers are the standard Bogoliubov transformations, with sign
 conventions such that the TMST correlations sit in C = c sigma_z and the
@@ -165,33 +165,23 @@ def single_mode_sth(r, k) -> np.ndarray:
 def bs_covmat(r, k, T) -> np.ndarray:
     """Beam-splitter output covariance; array arguments broadcast.
 
-    Built as the explicit symplectic product S_BS (sigma (+) I/2) S_BS^T
-    with S_BS = [[sqrt(T) I, sqrt(1-T) I], [-sqrt(1-T) I, sqrt(T) I]].
+    The product S_BS (sigma (+) I/2) S_BS^T with S_BS = [[sqrt(T) I, sqrt(1-T) I],
+    [-sqrt(1-T) I, sqrt(T) I]], written entry by entry: with s = (s0, s1) =
+    (k e^{-2r}, k e^{2r}), A = diag(T s + (1-T)/2), B = diag((1-T) s + T/2) and
+    C = sqrt(T(1-T)) diag(1/2 - s); every other entry is 0.  Elementwise numpy with
+    no BLAS call, so the bits do not depend on the machine's BLAS kernel.
     """
     r = _check_r(r)
     k = _check_k(k)
     T = _check_T(T)
     r, k, T = np.broadcast_arrays(r, k, T)
-    sig = single_mode_sth(r, k)
-
-    Vin = np.zeros(np.shape(r) + (4, 4))
-    Vin[..., :2, :2] = sig
-    Vin[..., 2, 2] = 0.5
-    Vin[..., 3, 3] = 0.5
-
-    rt = np.sqrt(T)
-    rr = np.sqrt(1.0 - T)
-    S = np.zeros(np.shape(r) + (4, 4))
-    for i in range(2):
-        S[..., i, i] = rt
-        S[..., i, i + 2] = rr
-        S[..., i + 2, i] = -rr
-        S[..., i + 2, i + 2] = rt
-    out = S @ Vin @ np.swapaxes(S, -1, -2)
-    # matmul accumulates (i,j) and (j,i) in different orders; average the
-    # ulp-level residue away so downstream symmetry checks are exact
-    out = 0.5 * (out + np.swapaxes(out, -1, -2))
-    return _require_finite(out, "r or k", "the covariance matrix")
+    t = np.sqrt(T * (1.0 - T))
+    V = np.zeros(np.shape(r) + (4, 4))
+    for i, s in enumerate((k * np.exp(-2.0 * r), k * np.exp(2.0 * r))):
+        V[..., i, i] = T * s + (1.0 - T) / 2
+        V[..., i + 2, i + 2] = (1.0 - T) * s + T / 2
+        V[..., i, i + 2] = V[..., i + 2, i] = t * (0.5 - s)
+    return _require_finite(V, "r or k", "the covariance matrix")
 
 
 def bs_resource(spec: BsSpec) -> np.ndarray:

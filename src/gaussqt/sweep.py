@@ -115,8 +115,10 @@ def run_sweep(config: SweepConfig):
     build = _FAMILIES[config.family][1]
     for lo in range(0, config.size, _CHUNK):
         i = np.arange(lo, min(lo + _CHUNK, config.size))
-        a1, a2 = v1[i // v2.size], v2[i % v2.size]
-        yield {"axis1": a1, "axis2": a2, **criteria._evaluate(build(r, a1, a2))}
+        chunk = {"axis1": v1[i // v2.size], "axis2": v2[i % v2.size]}
+        del i  # while a chunk is formatted, only its dict holds its arrays
+        chunk.update(criteria._evaluate(build(r, chunk["axis1"], chunk["axis2"])))
+        yield chunk
 
 
 def text(config: SweepConfig, fmt: str):

@@ -77,8 +77,36 @@ def two_mode_squeezer(r):
     )
 
 
+def beam_splitter_factors(r, k, T):
+    """``(S, V_in)`` of the beam-splitter state over broadcast (r, k, T):
+    S_BS = [[sqrt(T) I, sqrt(1-T) I], [-sqrt(1-T) I, sqrt(T) I]] and
+    V_in = diag(k e^{-2r}, k e^{2r}) (+) I/2, stacked."""
+    r, k, T = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (r, k, T)))
+    Vin = np.zeros(r.shape + (4, 4))
+    Vin[..., 0, 0] = k * np.exp(-2.0 * r)
+    Vin[..., 1, 1] = k * np.exp(2.0 * r)
+    Vin[..., 2, 2] = Vin[..., 3, 3] = 0.5
+    S = np.zeros(r.shape + (4, 4))
+    for i in range(2):
+        S[..., i, i] = S[..., i + 2, i + 2] = np.sqrt(T)
+        S[..., i, i + 2] = np.sqrt(1.0 - T)
+        S[..., i + 2, i] = -np.sqrt(1.0 - T)
+    return S, Vin
+
+
+def beam_splitter_product(r, k, T):
+    """Beam-splitter output as the explicit symplectic product S_BS V_in S_BS^T
+    by batched matmul, averaged with its transpose; the library writes the
+    entries' closed forms instead."""
+    S, Vin = beam_splitter_factors(r, k, T)
+    W = S @ Vin @ np.swapaxes(S, -1, -2)
+    return 0.5 * (W + np.swapaxes(W, -1, -2))
+
+
 def squeezed_thermal_blocks(r, k, T):
-    """Beam-splitter output blocks from the closed mixing formulas."""
+    """Beam-splitter output blocks from the closed mixing formulas, the ones
+    ``bs_covmat`` writes entry by entry; ``beam_splitter_product`` is the
+    route the package does not take."""
     sigma = np.diag([k * math.exp(-2.0 * r), k * math.exp(2.0 * r)])
     eye = 0.5 * np.eye(2)
     A = T * sigma + (1.0 - T) * eye

@@ -403,12 +403,18 @@ def test_analyze_random_states_consistent(tmp_path, capsys, rng):
      "quadrature"),
     (["oracle", "tmst", "--r", "0.5", "--k1", "0.5", "--k2", "0.5", "--radius", "1e200"],
      "quadrature"),
+    # integer literals past the float range, and past Python's 4,300-digit limit
+    (["analyze", "{int_past_float}"], "matrix"),
+    (["analyze", "{int_past_digit_limit}"], "JSON"),
 ])
 def test_domain_edges_exit_3_with_one_line(argv, named, tmp_path):
-    path = tmp_path / "near_float_range.json"
-    path.write_text(json.dumps({"convention": "xpxp-vac-half",
-                                "matrix": np.diag([1e308, 1e308, 1.0, 1.0]).tolist()}))
-    argv = [str(path) if a == "{near_float_range}" else a for a in argv]
+    head = '{"convention": "xpxp-vac-half", "matrix": '
+    files = {"near_float_range": head + json.dumps(np.diag([1e308, 1e308, 1.0, 1.0]).tolist()),
+             "int_past_float": head + json.dumps([[10**400] * 4] * 4),
+             "int_past_digit_limit": head + "[[1%s]]" % ("0" * 4300)}
+    for name, text in files.items():
+        (tmp_path / f"{name}.json").write_text(text + "}")
+    argv = [str(tmp_path / f"{a[1:-1]}.json") if a[1:-1] in files else a for a in argv]
     proc = subprocess.run([sys.executable, "-m", "gaussqt", *argv],
                           capture_output=True, text=True)
     assert proc.returncode == cli.EXIT_BAD_INPUT

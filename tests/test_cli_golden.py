@@ -10,6 +10,10 @@ only when an output change is intended.
 import contextlib
 import io
 import json
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -109,6 +113,52 @@ def test_sweep_bytes_do_not_depend_on_chunk_size(chunk, tmp_path, monkeypatch):
         workdir = tmp_path / name
         workdir.mkdir()
         assert run_case(CASES[name], workdir) == golden[name], name
+
+
+# the cases printing symplectic spectra, which come from LAPACK eigvals and may
+# take other last digits under another kernel; no other token may move
+SPECTRUM_CASES = ("analyze_physical_json", "state_tmst_json", "state_bs_json")
+SPECTRUM = re.compile(r'"(nu_minus|nu_plus|ppt_nu_minus)": [^,}]+')
+
+# run in the subprocess: every case's output and the reference sweeps' SHA-256
+CHILD = """
+import json, sys, tempfile
+from pathlib import Path
+import test_cli_golden, test_sweep
+cases = {}
+for name, argv in test_cli_golden.CASES.items():
+    with tempfile.TemporaryDirectory() as tmp:
+        cases[name] = test_cli_golden.run_case(argv, Path(tmp))
+sha256 = [test_sweep.reference_sha256(*ref[:3]) for ref in test_sweep.REFERENCE_SWEEPS]
+json.dump({"cases": cases, "sha256": sha256}, sys.stdout)
+"""
+
+
+def test_bytes_do_not_depend_on_the_blas_kernel():
+    """Every golden case and both reference sweeps, in a subprocess under
+    OpenBLAS's Sandybridge kernel, which has no FMA: the pinned bytes and
+    SHA-256s, except the nu_minus, nu_plus and ppt_nu_minus tokens of the
+    SPECTRUM_CASES.  OPENBLAS_CORETYPE acts only on OpenBLAS builds with
+    DYNAMIC_ARCH, such as numpy's wheels; under any other BLAS the subprocess
+    runs the same kernel as this process, and the test compares it with itself."""
+    from test_sweep import REFERENCE_SWEEPS
+
+    here = Path(__file__).parent
+    path = os.pathsep.join([str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH", "")])
+    env = dict(os.environ, OPENBLAS_CORETYPE="Sandybridge", PYTHONPATH=path)
+    proc = subprocess.run([sys.executable, "-c", CHILD], env=env, capture_output=True,
+                          text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout)
+    assert got["sha256"] == [ref[3] for ref in REFERENCE_SWEEPS]
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    assert sorted(got["cases"]) == sorted(golden)
+    for name, expected in golden.items():
+        if name in SPECTRUM_CASES:
+            expected["stdout"], n = SPECTRUM.subn(r'"\1": _', expected["stdout"])
+            got["cases"][name]["stdout"] = SPECTRUM.sub(r'"\1": _', got["cases"][name]["stdout"])
+            assert n > 0, name
+        assert got["cases"][name] == expected, name
 
 
 if __name__ == "__main__":

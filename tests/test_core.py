@@ -320,7 +320,7 @@ def test_closed_form_ppt_verdict_falls_back_on_exactly_the_uncleared_rows(rng, m
     monkeypatch.setattr(core, "_sym_eigs", lambda W: calls.append(W) or real(W))
     got = core._ppt_entangled(V)
     assert len(calls) == 1
-    assert np.array_equal(core._PT @ calls[0] @ core._PT, uncleared)
+    assert np.array_equal(core.partial_transpose(calls[0]), uncleared)
     monkeypatch.setattr(core, "_sym_eigs", real)
     assert np.array_equal(got, core.ppt_nu_minus(V) < PPT_CUT)
     assert not got[-2:].any()
@@ -495,6 +495,15 @@ def test_covmat_json_rejects_malformed():
     with pytest.raises(InvalidInput, match="matrix"):
         core.covmat_from_json(
             json.dumps({"convention": "xpxp-vac-half", "matrix": [["x"] * 4] * 4})
+        )
+    # integer literals past the float range, and past Python's 4,300-digit limit
+    with pytest.raises(InvalidInput, match="matrix"):
+        core.covmat_from_json(
+            json.dumps({"convention": "xpxp-vac-half", "matrix": [[10**400] * 4] * 4})
+        )
+    with pytest.raises(InvalidInput, match="JSON"):
+        core.covmat_from_json(
+            '{"convention": "xpxp-vac-half", "matrix": [[1%s]]}' % ("0" * 4300)
         )
 
 

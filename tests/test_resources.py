@@ -11,6 +11,8 @@ import gaussqt.criteria as criteria
 import gaussqt.resources as resources
 from gaussqt.errors import InvalidInput
 from conftest import (
+    beam_splitter_factors,
+    beam_splitter_product,
     det_block_ppt_nu,
     m_entries,
     squeezed_thermal_blocks,
@@ -208,6 +210,23 @@ def test_bs_matches_block_formulas(rng):
         assert np.max(np.abs(A - Aw)) < 1e-12
         assert np.max(np.abs(B - Bw)) < 1e-12
         assert np.max(np.abs(C - Cw)) < 1e-12
+
+
+def test_bs_matches_the_explicit_product(rng):
+    # r up to 3, and T within 1e-3 to 1e-12 of either end: each entry lies within
+    # 4e-12 of the size of the product's terms, |S| V_in |S|^T, and every entry
+    # outside the diagonal, V_02 and V_13 (and their mirrors) is 0 in both
+    n = 2000
+    r = rng.uniform(0.0, 3.0, 3 * n)
+    k = np.where(rng.random(3 * n) < 0.1, 0.5, rng.uniform(0.5, 2.5, 3 * n))
+    edge = 10.0 ** -rng.uniform(3.0, 12.0, n)
+    T = np.concatenate([rng.uniform(1e-3, 1.0 - 1e-3, n), edge, 1.0 - edge])
+    V, W = resources.bs_covmat(r, k, T), beam_splitter_product(r, k, T)
+    S, Vin = beam_splitter_factors(r, k, T)
+    terms = np.abs(S) @ Vin @ np.swapaxes(np.abs(S), -1, -2)
+    assert np.all(np.abs(V - W) <= 4e-12 * terms)
+    band = np.eye(4, dtype=bool) | np.eye(4, k=2, dtype=bool) | np.eye(4, k=-2, dtype=bool)
+    assert np.all(V[:, ~band] == 0.0) and np.all(W[:, ~band] == 0.0)
 
 
 def test_bs_output_is_exactly_symmetric(rng):

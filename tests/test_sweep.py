@@ -16,7 +16,7 @@ import gaussqt.criteria as criteria
 import gaussqt.resources as resources
 import gaussqt.sweep as sweep
 from gaussqt.errors import GridSizeError, InvalidInput
-from conftest import reference_rows
+from conftest import beam_splitter_product, reference_rows
 
 HEADER = "axis1,axis2,delta_epr,f_epr,det_m,fidelity,entangled,epr,qt,class"
 
@@ -355,24 +355,33 @@ def test_write_memory_is_bounded_by_the_chunk(tmp_path, monkeypatch, family, fmt
 
 def test_json_text_peak_stays_at_its_compute_peak():
     # 400² bs rows, two full chunks and part of a third.  Each chunk is formatted
-    # in place, so the peak of text is a chunk's compute plus what the writer
-    # holds meanwhile: 25,739 bytes here before float columns were formatted by
-    # _fmt17_tokens in row blocks (numpy 2.4.6), against about 17 MB more had a
-    # chunk's rows or float tokens been held whole at once
+    # in place, so the peak of text is the larger of a chunk's compute peak and
+    # the chunk plus the peak of formatting its columns' distinct values into
+    # tokens, plus what the writer holds meanwhile: under 25,739 bytes here
+    # (numpy 2.4.6).  With the bs state in closed form, formatting sets the peak.
+    # A chunk's rows, or its per-row token lists, held whole at once would add
+    # about 34 or 3.5 MB
     cfg = sweep.SweepConfig(family="bs", r=0.48,
                             axis1=sweep.AxisSpec("k", 0.5, 2.0, 400),
                             axis2=sweep.AxisSpec("T", 0.05, 0.95, 400))
     assert cfg.size >= 2 * sweep._CHUNK
+    tables = {"axis1": cfg.axis1.values(), "axis2": cfg.axis2.values(),
+              "class": criteria.LABELS}
     tracemalloc.start()
     try:
         collections.deque(sweep.run_sweep(cfg), maxlen=0)
         compute = tracemalloc.get_traced_memory()[1]
+        chunk = sweep._axis_codes(next(sweep.run_sweep(cfg)), 0, cfg.axis2.steps)
+        tracemalloc.reset_peak()
+        core._column_tokens(chunk, "json", tables)
+        formatting = tracemalloc.get_traced_memory()[1]
+        del chunk
         tracemalloc.reset_peak()
         collections.deque(sweep.text(cfg, "json"), maxlen=0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak - compute <= 25_739, peak - compute
+    assert peak - max(compute, formatting) <= 25_739, (peak, compute, formatting)
 
 
 # the reference grids at r = 0.48 and the SHA-256 of their text
@@ -380,18 +389,37 @@ REFERENCE_SWEEPS = [
     ("tmst", "csv", (("k1", 0.5, 2.5, 1001), ("k2", 0.5, 2.5, 1001)),
      "fc067d4603ff501a67d3a72e06c93756a0bd1b788d541b6f51d7ff9def818c50"),
     ("bs", "json", (("k", 0.5, 2.0, 501), ("T", 0.05, 0.95, 501)),
-     "08c4677ea871be6a194f8a8125190823c09be11e9a151d608c1fd61a0ef4f5bc"),
+     "d1d229eb6b9fcf93ce5050e954c58f151a7c227a2f750c4002c7bea052aa223d"),
 ]
 
 
-@pytest.mark.parametrize("family, fmt, axes, sha256", REFERENCE_SWEEPS)
-def test_reference_sweeps_keep_their_bytes(family, fmt, axes, sha256):
+def reference_sha256(family, fmt, axes):
     cfg = sweep.SweepConfig(family=family, r=0.48,
                             axis1=sweep.AxisSpec(*axes[0]), axis2=sweep.AxisSpec(*axes[1]))
     digest = hashlib.sha256()
     for piece in sweep.text(cfg, fmt):
         digest.update(piece.encode())
-    assert digest.hexdigest() == sha256
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("family, fmt, axes, sha256", REFERENCE_SWEEPS)
+def test_reference_sweeps_keep_their_bytes(family, fmt, axes, sha256):
+    assert reference_sha256(family, fmt, axes) == sha256
+
+
+def test_bs_reference_grid_verdicts_match_the_explicit_product():
+    # the closed-form states and the matmul product S_BS V_in S_BS^T get the
+    # same class and flags on every row of the 501² reference grid
+    family, _, axes, _ = REFERENCE_SWEEPS[1]
+    cfg = sweep.SweepConfig(family=family, r=0.48,
+                            axis1=sweep.AxisSpec(*axes[0]), axis2=sweep.AxisSpec(*axes[1]))
+    rows = 0
+    for chunk in sweep.run_sweep(cfg):
+        want = criteria._evaluate(beam_splitter_product(cfg.r, chunk["axis1"], chunk["axis2"]))
+        for name in ("entangled", "epr", "qt", "class"):
+            assert np.array_equal(chunk[name], want[name]), name
+        rows += chunk["class"].size
+    assert rows == 501 * 501
 
 
 def test_degenerate_two_by_two_grid():
