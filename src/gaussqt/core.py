@@ -221,11 +221,27 @@ def _ppt_entangled(V: np.ndarray) -> np.ndarray:
     return entangled
 
 
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
+def _schur_det(V: np.ndarray) -> np.ndarray:
+    """det V = det A det(B - C^T A^-1 C), eliminating A's rows: where A is positive
+    definite (the start of a Cholesky factorisation) as accurate as an LU det, where
+    ``_block_dets``' det V cancels terms of size |V|^4; elsewhere that det V."""
+    w = [[V[..., i, j] for j in range(4)] for i in range(4)]
+    for p, i in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3)):
+        f = w[i][p] / w[p][p]
+        w[i] = [x - f * y for x, y in zip(w[i], w[p])]
+    det = w[0][0] * w[1][1] * (w[2][2] * w[3][3] - w[2][3] * w[3][2])
+    ok = (w[0][0] > 0.0) & (w[1][1] > 0.0) & np.isfinite(det)
+    return det if np.all(ok) else np.where(ok, det, _block_dets(V)[3])
+
+
 def simon_lhs(V) -> np.ndarray | float:
     """Left-hand side 4*(det A + det B - 2 det C) - 16 det V of the
-    determinant-based inseparability test (entangled iff > 1), from ``_block_dets``."""
-    det_a, det_b, det_c, det_v = _block_dets(_as_covmat(V))
-    out = 4.0 * (det_a + det_b - 2.0 * det_c) - 16.0 * det_v
+    determinant-based inseparability test (entangled iff > 1), det V from
+    ``_schur_det`` so that it keeps its digits on strongly squeezed states."""
+    V = _as_covmat(V)
+    A, B, C = V[..., :2, :2], V[..., 2:, 2:], V[..., :2, 2:]
+    out = 4.0 * (_det2(A) + _det2(B) - 2.0 * _det2(C)) - 16.0 * _schur_det(V)
     return float(out) if out.ndim == 0 else out
 
 
@@ -365,16 +381,9 @@ def _canonical(V: np.ndarray) -> tuple[CanonicalParams, np.ndarray]:
         d1, d2 = C1[0, 0], C1[1, 1]
     else:
         U, s, Vt = np.linalg.svd(C1)
-        d1, d2 = s[0], s[1]
-        if _det2(U) < 0:
-            U = U.copy()
-            U[:, 1] *= -1.0
-            d2 = -d2
-        if _det2(Vt) < 0:
-            Vt = Vt.copy()
-            Vt[1, :] *= -1.0
-            d2 = -d2
-        Ra, Rb = U.T, Vt
+        su, sv = np.sign(_det2(U)), np.sign(_det2(Vt))  # flip each into a rotation
+        Ra, Rb = (U * [1.0, su]).T, Vt * [[1.0], [sv]]
+        d1, d2 = s[0], s[1] * su * sv
 
     if abs(d2) > abs(d1):
         Ra = _SWAP @ Ra
@@ -589,26 +598,22 @@ def _column(column: np.ndarray, fmt: str, before: str = "", after: str = "",
 _ROW_BLOCK = 1024
 
 
-def _column_tokens(columns: dict, fmt: str, tables: dict | None = None) -> tuple[str, list]:
-    """The field separator and each column's ``_column`` tokens and codes, the JSON
-    keys and braces folded into the tokens; a column named in ``tables`` holds
-    integer codes into the table given for it."""
+def _row_blocks(columns: dict, fmt: str, tables: dict | None = None):
+    """Text rows of equal-length, non-empty 1-D columns, keys in dict order, in
+    lists of up to _ROW_BLOCK rows: CSV values or one-line JSON objects.  A
+    column named in ``tables`` holds integer codes into the table given for it.
+    Each row is one join of its columns' tokens, the JSON keys and braces
+    already folded into each column's tokens, and each distinct value of a
+    column is formatted once (see ``_column``; floats exactly as fmt17,
+    vectorised for |x| in [2**-36, 2**51))."""
     tables = tables or {}
     if fmt == "csv":
         sep, before, after = ",", [""] * len(columns), [""] * len(columns)
     else:
         sep, before, after = ", ", [f'"{k}": ' for k in columns], [""] * len(columns)
         before[0], after[-1] = "{" + before[0], "}"
-    return sep, [_column(column, fmt, b, a, tables.get(name))
-                 for (name, column), b, a in zip(columns.items(), before, after)]
-
-
-def _row_blocks(columns: dict, fmt: str, tables: dict | None = None):
-    """Text rows of equal-length, non-empty 1-D columns, keys in dict order, in
-    lists of up to _ROW_BLOCK rows: CSV values or one-line JSON objects, each one
-    join of its columns' tokens (``_column_tokens``; each distinct value of a
-    column formatted once, floats exactly as fmt17)."""
-    sep, tokens = _column_tokens(columns, fmt, tables)
+    tokens = [_column(column, fmt, b, a, tables.get(name))
+              for (name, column), b, a in zip(columns.items(), before, after)]
     for lo in range(0, tokens[0][1].size, _ROW_BLOCK):
         yield list(map(sep.join, zip(*[column[codes[lo:lo + _ROW_BLOCK]].tolist()
                                         for column, codes in tokens])))

@@ -124,14 +124,9 @@ def tmst_covmat(r, k1, k2) -> np.ndarray:
     zeta = nu2 * k1 + mu2 * k2
     c = 0.5 * np.sinh(2.0 * r) * (k1 + k2)
     V = np.zeros(np.shape(r) + (4, 4))
-    V[..., 0, 0] = eta
-    V[..., 1, 1] = eta
-    V[..., 2, 2] = zeta
-    V[..., 3, 3] = zeta
-    V[..., 0, 2] = c
-    V[..., 2, 0] = c
-    V[..., 1, 3] = -c
-    V[..., 3, 1] = -c
+    for i, sign in ((0, 1.0), (1, -1.0)):
+        V[..., i, i], V[..., i + 2, i + 2] = eta, zeta
+        V[..., i, i + 2] = V[..., i + 2, i] = sign * c
     return _require_finite(V, "r, k1 or k2", "the covariance matrix")
 
 

@@ -404,8 +404,9 @@ def test_analyze_random_states_consistent(tmp_path, capsys, rng):
     (["oracle", "tmst", "--r", "0.5", "--k1", "0.5", "--k2", "0.5", "--radius", "1e200"],
      "quadrature"),
     # integer literals past the float range, and past Python's 4,300-digit limit
+    # (json rejects those from CPython 3.10.7 on; before, the 1x1 matrix is)
     (["analyze", "{int_past_float}"], "matrix"),
-    (["analyze", "{int_past_digit_limit}"], "JSON"),
+    (["analyze", "{int_past_digit_limit}"], "JSON|matrix"),
 ])
 def test_domain_edges_exit_3_with_one_line(argv, named, tmp_path):
     head = '{"convention": "xpxp-vac-half", "matrix": '
@@ -421,7 +422,7 @@ def test_domain_edges_exit_3_with_one_line(argv, named, tmp_path):
     assert proc.stdout == ""
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
-    assert named in lines[0]
+    assert re.search(named, lines[0])
 
 
 # each family's domain is checked once, by its constructor: state and oracle

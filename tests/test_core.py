@@ -250,6 +250,53 @@ def test_separable_samples_read_separable(rng):
     assert np.all(lhs <= 1.0 + 1e-9)
 
 
+def test_simon_lhs_keeps_its_digits_on_strongly_squeezed_tmsts():
+    # det V = k1^2 k2^2 from entries of order k e^{2r}, up to 2.4e10 here; a det V
+    # whose error is eps |V|^4 (the Laplace expansion's) moves simon_lhs by up to
+    # 1.3e5 times its value, and flips 93 verdicts.  Against exact rational
+    # arithmetic on the stored matrix, simon_lhs stays within 1.1e-11 (LAPACK's
+    # LU det: 2.9e-11); the stored entries' own rounding puts that exact value up
+    # to 5.8e-11 off the closed form 4 (eta^2 + zeta^2 + 2 c^2) - 16 k1^2 k2^2
+    r, k1, k2 = (a.ravel() for a in np.meshgrid(
+        np.linspace(0.0, 10.0, 51), [0.5, 1.0, 3.0, 10.0, 30.0, 100.0],
+        [0.5, 2.0, 7.0, 30.0, 100.0], indexing="ij"))
+    V = resources.tmst_covmat(r, k1, k2)
+    lhs = core.simon_lhs(V)
+
+    def det2(M):
+        return M[0][0] * M[1][1] - M[0][1] * M[1][0]
+
+    for i in range(r.size):
+        M = [[Fraction(x) for x in row] for row in V[i].tolist()]
+        A, B, C = [m[:2] for m in M[:2]], [m[2:] for m in M[2:]], [m[2:] for m in M[:2]]
+        exact = 4 * (det2(A) + det2(B) - 2 * det2(C)) - 16 * exact_det_and_permanent(V[i])[0]
+        assert abs(Fraction(lhs[i]) - exact) <= Fraction(1e-10) * abs(exact), (r[i], k1[i], k2[i])
+    eta, zeta, c = V[:, 0, 0], V[:, 2, 2], V[:, 0, 2]
+    closed = 4.0 * (eta**2 + zeta**2 + 2.0 * c**2) - 16.0 * (k1 * k2) ** 2
+    assert np.all(np.abs(lhs - closed) <= 2e-10 * np.abs(closed))
+    # e.g. r = 7.6, k1 = k2 = 100 reads physical, so both verdicts are printed
+    off = np.abs(r - resources.r_ent_threshold(k1, k2)) > 1e-3
+    assert np.array_equal((lhs > 1.0)[off], (core.ppt_nu_minus(V) < PPT_CUT)[off])
+    assert core.simon_inseparable(resources.tmst_covmat(7.6, 100.0, 100.0)).simon_entangled
+
+
+def test_simon_lhs_is_the_determinant_formula_on_any_matrix(rng):
+    # rows whose A is not positive definite, or whose elimination overflows (the
+    # last row: a00 = 1e-300 against V_20 = 1e70), take the Laplace det V instead
+    V = rng.normal(size=(4000, 4, 4))
+    V[-1] = np.eye(4)
+    V[-1, 0, 0], V[-1, 0, 2], V[-1, 2, 0] = 1e-300, 1e70, 1e70
+    A, B, C = V[:, :2, :2], V[:, 2:, 2:], V[:, :2, 2:]
+    assert 0.1 < np.mean((A[:, 0, 0] > 0) & (np.linalg.det(A) > 0)) < 0.9
+    want = 4.0 * (np.linalg.det(A) + np.linalg.det(B) - 2.0 * np.linalg.det(C)) \
+        - 16.0 * np.linalg.det(V)
+    norm4 = np.einsum("...ij,...ij->...", V, V) ** 2
+    lhs = core.simon_lhs(V)
+    assert np.all(np.abs(lhs - want) <= 1e-13 * norm4)
+    assert abs(lhs[-1] - 1.6e141) <= 1e-15 * 1.6e141  # 4 (1 + 1e-300) + 16 (1e140 - 1e-300)
+    assert core.simon_lhs(np.zeros((4, 4))) == 0.0
+
+
 # ------------------------------------------------ closed-form PPT verdict
 
 PPT_CUT = 0.5 - 1e-10
@@ -497,11 +544,12 @@ def test_covmat_json_rejects_malformed():
             json.dumps({"convention": "xpxp-vac-half", "matrix": [["x"] * 4] * 4})
         )
     # integer literals past the float range, and past Python's 4,300-digit limit
+    # (json rejects those from CPython 3.10.7 on; before, the 1x1 matrix is)
     with pytest.raises(InvalidInput, match="matrix"):
         core.covmat_from_json(
             json.dumps({"convention": "xpxp-vac-half", "matrix": [[10**400] * 4] * 4})
         )
-    with pytest.raises(InvalidInput, match="JSON"):
+    with pytest.raises(InvalidInput, match="JSON|matrix"):
         core.covmat_from_json(
             '{"convention": "xpxp-vac-half", "matrix": [[1%s]]}' % ("0" * 4300)
         )
