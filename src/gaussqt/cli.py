@@ -103,10 +103,9 @@ def _build_state(args):
 
 def _cmd_state(args) -> int:
     V = _build_state(args)
-    code = _print_analysis(V, args)
-    if args.emit_cm:
+    if args.emit_cm:  # first, so that a failed write prints no report
         core.save_covmat(V, args.emit_cm)
-    return code
+    return _print_analysis(V, args)
 
 
 def _parse_axis(name: str, text: str) -> sweep.AxisSpec:

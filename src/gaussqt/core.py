@@ -97,9 +97,9 @@ def _sym_eigs(V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Symplectic eigenvalue pair: absolute values of the eigenvalues of
     i Omega V, deduplicated by averaging the (+/-) partners.
 
-    This eigen route gives every printed spectrum and the physicality rule;
-    the evaluation kernel's PPT verdict takes the closed form in
-    ``_ppt_entangled`` and comes here only on that function's fallback rows.
+    This eigen route gives every printed spectrum and the physicality rule; the PPT
+    verdict takes ``_ppt_entangled``'s closed form and comes here only on its fallback
+    rows (near the cut, at a double eigenvalue, or a pure TMSV from r = 7.815 on).
     """
     a = np.sort(np.abs(np.linalg.eigvals(OMEGA @ V)), axis=-1)
     nu_minus = 0.5 * (a[..., 0] + a[..., 1])
@@ -179,69 +179,63 @@ def ppt_nu_minus(V) -> np.ndarray | float:
     return float(nm) if nm.ndim == 0 else nm
 
 
-def _block_dets(V: np.ndarray) -> tuple[np.ndarray, ...]:
-    """``(det A, det B, det C, det V)`` from one set of 2x2 minors: det V is the
-    Laplace expansion along rows (0, 1), six products of a minor of rows (0, 1)
-    and the complementary minor of rows (2, 3), summed pairwise.  Each of the 24
-    terms of det V carries the 2 roundings of each of its two minors, 1 of their
-    product and at most 3 of the sum, so |fl(det V) - det V| <= gamma_8 per(|V|)
-    <= gamma_8 |V|_F^4, and gamma_8 = 8u / (1 - 8u) is 4 eps to first order."""
-    v = [[V[..., i, j] for j in range(4)] for i in range(4)]
-
+def _pt_invariants(V: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(D, det V, pd)``: D = det A + det B - 2 det C and det V (the sum and product of the
+    partial transpose's nu~^2), and the rows ``pd`` whose pivots w00, w11, s00, det S / s00
+    are positive and product finite.  det V = det A det S, S = B - C^T A^-1 C, by two
+    elimination steps and S's 2x2 det, errs on ``pd`` by at most (16 gamma_4 + gamma_3)
+    v00 v11 v22 v33 ~ 34 eps v00 v11 v22 v33 <= 2.1 eps |V|_F^4 to first order: the pivots
+    are exact for V + E, |E_ij| <= gamma_4 (|L||U|)_ij <= gamma_4 sqrt(v_ii v_jj) (LU's
+    backward error; V > 0), det(V + E) - det V ~ sum adj(V)_ji E_ij, |adj(V)_ij| sqrt(v_ii
+    v_jj) <= v00 v11 v22 v33 (a unit-diagonal V > 0 has cofactors at most 1), and the product
+    adds gamma_3 det V.  Rows whose A is not positive definite, or whose product overflows,
+    take the Laplace expansion (gamma_8 |V|_F^4, cancelling on squeezed states) instead."""
     def minor(i, j, k):  # rows i, i + 1 and columns j, k
-        return v[i][j] * v[i + 1][k] - v[i][k] * v[i + 1][j]
+        return V[..., i, j] * V[..., i + 1, k] - V[..., i, k] * V[..., i + 1, j]
 
-    det_a, det_c, det_b = minor(0, 0, 1), minor(0, 2, 3), minor(2, 2, 3)
-    det_v = ((det_a * det_b - minor(0, 0, 2) * minor(2, 1, 3))
-             + (minor(0, 0, 3) * minor(2, 1, 2) + minor(0, 1, 2) * minor(2, 0, 3))) + (
-        det_c * minor(2, 0, 1) - minor(0, 1, 3) * minor(2, 0, 2))
-    return det_a, det_b, det_c, det_v
+    d = minor(0, 0, 1) + minor(2, 2, 3) - 2.0 * minor(0, 2, 3)
+    w = [[V[..., i, j] for j in range(4)] for i in range(4)]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for p, i in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3)):
+            f = w[i][p] / w[p][p]
+            for j in range(p + 1, 4):
+                w[i][j] = w[i][j] - f * w[p][j]
+        det = w[0][0] * w[1][1] * (w[2][2] * w[3][3] - w[2][3] * w[3][2])
+    ok = (w[0][0] > 0.0) & (w[1][1] > 0.0) & np.isfinite(det)
+    if not ok.all():
+        det = np.where(ok, det, (
+            (minor(0, 0, 1) * minor(2, 2, 3) - minor(0, 0, 2) * minor(2, 1, 3))
+            + (minor(0, 0, 3) * minor(2, 1, 2) + minor(0, 1, 2) * minor(2, 0, 3))) + (
+            minor(0, 2, 3) * minor(2, 0, 1) - minor(0, 1, 3) * minor(2, 0, 2)))
+    return d, det, ok & (w[2][2] > 0.0) & (det > 0.0)
 
 
 def _ppt_entangled(V: np.ndarray) -> np.ndarray:
-    """PPT verdict ``ppt_nu_minus(V) < 1/2 - 1e-10`` of a physical stack, from
-    nu~^2 = 2 det V / (D + sqrt(disc)), D = det A + det B - 2 det C, disc = D^2 - 4 det V
-    (``_block_dets``), with error at most 5 eps nu~^2 |V|_F^4 (1/det V + 1/disc), which
-    also bounds the eigen route's.  The 5 is 4 + 1: det V's error of 4 eps |V|_F^4 moves
-    nu~^2 by at most that times nu~^2 (1/det V + 1/disc), and rounding D and disc adds
-    under eps nu~^2 |V|_F^4 / disc.  Rows within ten such bounds of the cut, or with
-    det V <= 0, take the eigen route, so every verdict is the one the eigen route gives."""
+    """PPT verdict ``ppt_nu_minus(V) < 1/2 - 1e-10`` of a physical stack from nu~^2 =
+    2 det V / (D + sqrt(disc)), disc = D^2 - 4 det V, which errs by under 3 eps nu~^2 |V|_F^4
+    (1/det V + 1/disc), as does the eigen route: 2.1 from det V, 0.6 / disc from D (|D| <=
+    |V|_F^2 / 2, error under eps |V|_F^2) and disc, 0.1 / det V from 3 roundings.  Rows within
+    ten bounds of the cut, or not ``pd``, take the eigen route: all verdicts are the same."""
     cut2 = (0.5 - PHYSICALITY_TOL) ** 2
-    det_a, det_b, det_c, det = _block_dets(V)
-    d = det_a + det_b - 2.0 * det_c
+    d, det, pd = _pt_invariants(V)
     disc = d * d - 4.0 * det
     norm4 = np.einsum("...ij,...ij->...", V, V) ** 2
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         nu2 = 2.0 * det / (d + np.sqrt(disc))
-        bound = 5.0 * np.finfo(float).eps * nu2 * norm4 * (1.0 / det + 1.0 / disc)
-        sure = (det > 0.0) & (np.abs(nu2 - cut2) > 10.0 * bound)
+        bound = 3.0 * np.finfo(float).eps * nu2 * norm4 * (1.0 / det + 1.0 / disc)
+        sure = pd & (np.abs(nu2 - cut2) > 10.0 * bound)
     entangled = np.asarray(nu2 < cut2)
     if not np.all(sure):
         entangled[~sure] = ppt_nu_minus(V[~sure]) < 0.5 - PHYSICALITY_TOL
     return entangled
 
 
-@np.errstate(divide="ignore", invalid="ignore", over="ignore")
-def _schur_det(V: np.ndarray) -> np.ndarray:
-    """det V = det A det(B - C^T A^-1 C), eliminating A's rows: where A is positive
-    definite (the start of a Cholesky factorisation) as accurate as an LU det, where
-    ``_block_dets``' det V cancels terms of size |V|^4; elsewhere that det V."""
-    w = [[V[..., i, j] for j in range(4)] for i in range(4)]
-    for p, i in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3)):
-        f = w[i][p] / w[p][p]
-        w[i] = [x - f * y for x, y in zip(w[i], w[p])]
-    det = w[0][0] * w[1][1] * (w[2][2] * w[3][3] - w[2][3] * w[3][2])
-    ok = (w[0][0] > 0.0) & (w[1][1] > 0.0) & np.isfinite(det)
-    return det if np.all(ok) else np.where(ok, det, _block_dets(V)[3])
-
-
 def simon_lhs(V) -> np.ndarray | float:
-    """Left-hand side 4*(det A + det B - 2 det C) - 16 det V of the
-    determinant-based inseparability test (entangled iff > 1), det V from
-    ``_schur_det`` so that it keeps its digits on strongly squeezed states."""
+    """Left-hand side 4*(det A + det B - 2 det C) - 16 det V of the determinant-based
+    inseparability test (entangled iff > 1), both terms from ``_pt_invariants``."""
     V = _as_covmat(V)
-    A, B, C = V[..., :2, :2], V[..., 2:, 2:], V[..., :2, 2:]
-    out = 4.0 * (_det2(A) + _det2(B) - 2.0 * _det2(C)) - 16.0 * _schur_det(V)
+    d, det, _ = _pt_invariants(V)
+    out = 4.0 * d - 16.0 * det
     return float(out) if out.ndim == 0 else out
 
 
@@ -644,7 +638,7 @@ def covmat_from_json(text: str) -> np.ndarray:
     in every error message."""
     try:
         obj = json.loads(text)
-    except ValueError as exc:  # JSONDecodeError, or an integer past Python's digit limit
+    except (ValueError, RecursionError) as exc:  # bad JSON, huge integers, deep nesting
         raise InvalidInput(f"not valid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise InvalidInput("top level must be a JSON object")
@@ -681,5 +675,8 @@ def save_covmat(V, path) -> None:
 
 
 def load_covmat(path) -> np.ndarray:
-    with open(path, "r", encoding="utf-8") as fh:
-        return covmat_from_json(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return covmat_from_json(fh.read())
+    except UnicodeDecodeError as exc:
+        raise InvalidInput(f"not UTF-8 text: {exc}") from exc

@@ -170,7 +170,10 @@ def write(config: SweepConfig, path, fmt: str) -> None:
         return
     head, tail = os.path.split(os.path.realpath(path))
     tmp = os.path.join(head, f".{tail}.{secrets.token_hex(8)}.tmp")
-    fh = open(tmp, "x", encoding="utf-8", newline="")
+    try:
+        fh = open(tmp, "x", encoding="utf-8", newline="")
+    except OSError as exc:  # name the path asked for, not the temporary file
+        raise OSError(exc.errno, exc.strerror, path) from None
     try:
         with fh:
             fh.writelines(text(config, fmt))

@@ -159,6 +159,15 @@ def test_state_rejects_bad_parameters(capsys):
         assert "error" in err
 
 
+def test_state_emit_cm_unwritable_prints_no_report(capsys):
+    code, out, err = run(capsys, "state", "tmst", "--r", "0.48", "--k1", "1.5", "--k2", "0.75",
+                         "--emit-cm", "/no-such-dir/tmst.json")
+    assert code == cli.EXIT_IO
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
 def test_state_emit_cm_roundtrips(tmp_path, capsys):
     cm = tmp_path / "tmst.json"
     run(capsys, "state", "tmst", "--r", "0.48", "--k1", "1.5", "--k2", "0.75",
@@ -240,6 +249,10 @@ def test_sweep_unwritable_path_exit_5(capsys):
         "--out", "/no-such-dir/grid.csv",
     )
     assert code == cli.EXIT_IO
+    # the message names the path given, not the temporary file written beside it
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "/no-such-dir/grid.csv" in lines[0] and ".tmp" not in lines[0]
 
 
 def test_sweep_deterministic(capsys):
@@ -407,14 +420,19 @@ def test_analyze_random_states_consistent(tmp_path, capsys, rng):
     # (json rejects those from CPython 3.10.7 on; before, the 1x1 matrix is)
     (["analyze", "{int_past_float}"], "matrix"),
     (["analyze", "{int_past_digit_limit}"], "JSON|matrix"),
+    # bytes that are not UTF-8, and arrays nested past the parser's recursion limit
+    (["analyze", "{not_utf8}"], "UTF-8"),
+    (["analyze", "{nested_deep}"], "JSON"),
 ])
 def test_domain_edges_exit_3_with_one_line(argv, named, tmp_path):
     head = '{"convention": "xpxp-vac-half", "matrix": '
     files = {"near_float_range": head + json.dumps(np.diag([1e308, 1e308, 1.0, 1.0]).tolist()),
              "int_past_float": head + json.dumps([[10**400] * 4] * 4),
-             "int_past_digit_limit": head + "[[1%s]]" % ("0" * 4300)}
-    for name, text in files.items():
-        (tmp_path / f"{name}.json").write_text(text + "}")
+             "int_past_digit_limit": head + "[[1%s]]" % ("0" * 4300),
+             "not_utf8": "\xff\xfe" + head,
+             "nested_deep": head + "[" * 200_000 + "]" * 200_000}
+    for name, text in files.items():  # latin-1 writes each character as its own byte
+        (tmp_path / f"{name}.json").write_text(text + "}", encoding="latin-1")
     argv = [str(tmp_path / f"{a[1:-1]}.json") if a[1:-1] in files else a for a in argv]
     proc = subprocess.run([sys.executable, "-m", "gaussqt", *argv],
                           capture_output=True, text=True)

@@ -269,7 +269,7 @@ def test_simon_lhs_keeps_its_digits_on_strongly_squeezed_tmsts():
     for i in range(r.size):
         M = [[Fraction(x) for x in row] for row in V[i].tolist()]
         A, B, C = [m[:2] for m in M[:2]], [m[2:] for m in M[2:]], [m[2:] for m in M[:2]]
-        exact = 4 * (det2(A) + det2(B) - 2 * det2(C)) - 16 * exact_det_and_permanent(V[i])[0]
+        exact = 4 * (det2(A) + det2(B) - 2 * det2(C)) - 16 * exact_det(V[i])
         assert abs(Fraction(lhs[i]) - exact) <= Fraction(1e-10) * abs(exact), (r[i], k1[i], k2[i])
     eta, zeta, c = V[:, 0, 0], V[:, 2, 2], V[:, 0, 2]
     closed = 4.0 * (eta**2 + zeta**2 + 2.0 * c**2) - 16.0 * (k1 * k2) ** 2
@@ -373,37 +373,56 @@ def test_closed_form_ppt_verdict_falls_back_on_exactly_the_uncleared_rows(rng, m
     assert not got[-2:].any()
 
 
-def exact_det_and_permanent(V):
-    """det V and per(|V|) of one 4x4 matrix, exactly, over the 24 permutations."""
+def test_squeezed_vacua_keep_the_closed_form_verdict(monkeypatch):
+    # a pure TMSV has det V = 1/16 from entries of about e^{2r} / 4; a Laplace det V
+    # cancels there (0.03125 at r = 4.77, -0.375 at r = 5) and sent about half of
+    # these rows to the eigen route; the elimination's det V keeps its digits
+    V = resources.tmst_covmat(4.77 + 0.001 * np.arange(730), 0.5, 0.5)
+    calls = []
+    real = core._sym_eigs
+    monkeypatch.setattr(core, "_sym_eigs", lambda W: calls.append(len(W)) or real(W))
+    assert core._ppt_entangled(V).all()
+    assert calls == []
+
+
+def exact_det(V):
+    """det V of one 4x4 matrix, exactly, over the 24 permutations."""
     M = [[Fraction(x) for x in row] for row in V.tolist()]
-    det = per = Fraction(0)
+    det = Fraction(0)
     for p in itertools.permutations(range(4)):
         sign = (-1) ** sum(p[i] > p[j] for i in range(4) for j in range(i + 1, 4))
-        term = M[0][p[0]] * M[1][p[1]] * M[2][p[2]] * M[3][p[3]]
-        det += sign * term
-        per += abs(term)
-    return det, per
+        det += sign * M[0][p[0]] * M[1][p[1]] * M[2][p[2]] * M[3][p[3]]
+    return det
 
 
-def test_laplace_det_stays_within_its_bound(rng):
+def test_elimination_det_stays_within_its_bound(rng):
+    # the bound _pt_invariants states on the rows it certifies positive definite:
+    # |fl(det V) - det V| <= (16 gamma_4 + gamma_3) v00 v11 v22 v33 <= 2.1 eps |V|_F^4
     u = Fraction(2) ** -53
-    gamma8 = 8 * u / (1 - 8 * u)
+    gamma = [k * u / (1 - k * u) for k in range(5)]
     n = 400
+    r, k1, k2 = (a.ravel() for a in np.meshgrid(
+        np.linspace(0.0, 10.0, 21), [0.5, 3.0, 100.0], [0.5, 7.0, 100.0], indexing="ij"))
     stacks = {
         "random physical": sampling.random_physical_covmats(rng, n),
         "separable": sampling.random_separable_covmats(rng, n),
-        "random signed": rng.normal(size=(n, 4, 4)),
-        "large norm": rng.normal(size=(n, 4, 4)) * 10.0 ** rng.uniform(0.0, 70.0, (n, 1, 1)),
         "TMSV r <= 17": resources.tmst_covmat(np.linspace(0.0, 17.0, n), 0.5, 0.5),
+        "TMST r <= 10, k <= 100": resources.tmst_covmat(r, k1, k2),
+        "bs": resources.bs_covmat(rng.uniform(0.0, 6.0, n), 10.0 ** rng.uniform(
+            math.log10(0.5), 2.0, n), rng.uniform(0.01, 0.99, n)),
     }
     for name, V in stacks.items():
-        det_a, det_b, det_c, det = core._block_dets(V)
-        for block, got in ((V[:, :2, :2], det_a), (V[:, 2:, 2:], det_b), (V[:, :2, 2:], det_c)):
-            assert np.array_equal(got, core._det2(block)), name
-        for i in range(n):
-            exact, per = exact_det_and_permanent(V[i])
+        d, det, pd = core._pt_invariants(V)
+        A, B, C = V[:, :2, :2], V[:, 2:, 2:], V[:, :2, 2:]
+        assert np.array_equal(d, core._det2(A) + core._det2(B) - 2.0 * core._det2(C)), name
+        # the TMSV stack's elimination certifies up to r ~ 9
+        assert np.mean(pd) > 0.5, name
+        for i in np.flatnonzero(pd):
+            err = abs(Fraction(det[i]) - exact_det(V[i]))
+            diag = math.prod(Fraction(V[i, k, k]) for k in range(4))
             norm4 = sum(Fraction(x) ** 2 for x in V[i].ravel().tolist()) ** 2
-            assert abs(Fraction(det[i]) - exact) <= gamma8 * per <= gamma8 * norm4, (name, i)
+            assert err <= (16 * gamma[4] + gamma[3]) * diag <= Fraction(4.2) * u * norm4, (
+                name, i)
 
 
 # -------------------------------------------------------- canonical form
