@@ -94,26 +94,55 @@ def blocks(V) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _sym_eigs(V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Symplectic eigenvalue pair: absolute values of the eigenvalues of
-    i Omega V, deduplicated by averaging the (+/-) partners.
-
-    This eigen route gives every printed spectrum and the physicality rule; the PPT
-    verdict takes ``_ppt_entangled``'s closed form and comes here only on its fallback
-    rows (near the cut, at a double eigenvalue, or a pure TMSV from r = 7.815 on).
-    """
+    """Symplectic pair from LAPACK: |eigenvalues| of i Omega V, (+/-) partners averaged, for
+    the rows ``_spectrum``'s factor cannot take: asymmetric input, and rows that are not
+    positive definite (a pure TMSV from r = 9.078 on).  None of them is physical."""
     a = np.sort(np.abs(np.linalg.eigvals(OMEGA @ V)), axis=-1)
-    nu_minus = 0.5 * (a[..., 0] + a[..., 1])
-    nu_plus = 0.5 * (a[..., 2] + a[..., 3])
-    return nu_minus, nu_plus
+    return 0.5 * (a[..., 0] + a[..., 1]), 0.5 * (a[..., 2] + a[..., 3])
+
+
+def _spectrum(V: np.ndarray, transpose: bool = False, symmetric=True) -> tuple[np.ndarray, ...]:
+    """``(nu_minus, nu_plus, pd)`` of V, or of its partial transpose, from V = L L^T; ``pd``
+    marks rows with positive pivots and a finite nu_plus.  K = L^T Omega L has eigenvalues
+    +-i nu: with p = (K01 + K23, K02 - K13, K03 + K12) and m = (K01 - K23, K02 + K13, K03 -
+    K12), nu_plus = (|p| + |m|) / 2 and nu_minus = det L / nu_plus (det L = Pf K), neither
+    cancelling.  Mode a adds only l00 l11 to K01; Omega~ = J (+) -J flips mode b's terms.
+    Rows not ``pd`` or not ``symmetric`` (the factor reads the lower triangle) take
+    ``_sym_eigs``.  Only +, -, *, / and sqrt touch the entries (np.square is x * x; x ** 2
+    on a numpy scalar is not), so a row gives the same bits alone as in a stack."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        l00 = np.sqrt(V[..., 0, 0])
+        l10, l20, l30 = V[..., 1, 0] / l00, V[..., 2, 0] / l00, V[..., 3, 0] / l00
+        l11 = np.sqrt(V[..., 1, 1] - l10 * l10)
+        a = l00 * l11
+        l21, l31 = (V[..., 2, 1] - l20 * l10) / l11, (V[..., 3, 1] - l30 * l10) / l11
+        del l00, l10, l11
+        sign = -1.0 if transpose else 1.0
+        k01 = a + sign * (l20 * l31 - l30 * l21)
+        l22 = np.sqrt(V[..., 2, 2] - l20 * l20 - l21 * l21)
+        l32 = (V[..., 3, 2] - l30 * l20 - l31 * l21) / l22
+        l33 = V[..., 3, 3] - l30 * l30 - l31 * l31 - l32 * l32
+        k02, k12 = l20 * l32 - l30 * l22, l21 * l32 - l31 * l22
+        del l30, l31, l32
+        l33 = np.sqrt(l33)
+        k03, k13, k23, det = l20 * l33, l21 * l33, sign * (l22 * l33), a * l22 * l33
+        del a, l20, l21, l22, l33
+        p = np.sqrt(np.square(k01 + k23) + np.square(k02 - k13) + np.square(k03 + k12))
+        m = np.sqrt(np.square(k01 - k23) + np.square(k02 + k13) + np.square(k03 - k12))
+        nu_plus = np.asarray(0.5 * (p + m))
+        nu_minus = np.asarray(det / nu_plus)
+    pd = (det > 0.0) & (nu_plus < np.inf)
+    lapack = ~(pd & symmetric)
+    if lapack.any():
+        nu_minus[lapack], nu_plus[lapack] = _sym_eigs(V[lapack] * (_PT if transpose else 1.0))
+    return nu_minus, nu_plus, pd
 
 
 def symplectic_eigenvalues(V) -> tuple[np.ndarray, np.ndarray]:
     """Return ``(nu_minus, nu_plus)``; stacked input gives stacked output."""
     V = _as_covmat(V)
-    nm, np_ = _sym_eigs(V)
-    if nm.ndim == 0:
-        return float(nm), float(np_)
-    return nm, np_
+    nm, np_, _ = _spectrum(V, symmetric=_is_symmetric(V))
+    return (float(nm), float(np_)) if nm.ndim == 0 else (nm, np_)
 
 
 @dataclass(frozen=True)
@@ -125,15 +154,12 @@ class ValidityReport:
 
 
 def _physicality(V: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """``(symmetric, nu_minus, nu_plus, physical)`` of a finite stack: the one
-    statement of the physicality rule, nu_minus >= 1/2 - 1e-10 on a
-    symmetric positive definite matrix (an indefinite matrix can have every
-    symplectic eigenvalue above 1/2)."""
+    """``(symmetric, nu_minus, nu_plus, physical)`` of a finite stack: the one statement of
+    the physicality rule, nu_minus >= 1/2 - 1e-10 on a symmetric matrix whose factor V = L L^T
+    has positive pivots (an indefinite matrix can have every symplectic eigenvalue above 1/2)."""
     symmetric = _is_symmetric(V)
-    lam = np.linalg.eigvalsh(V)
-    positive = lam[..., 0] > -PHYSICALITY_TOL * lam[..., -1]
-    nm, np_ = _sym_eigs(V)
-    return symmetric, nm, np_, symmetric & positive & (nm >= 0.5 - PHYSICALITY_TOL)
+    nm, np_, pd = _spectrum(V, symmetric=symmetric)
+    return symmetric, nm, np_, symmetric & pd & (nm >= 0.5 - PHYSICALITY_TOL)
 
 
 def validate(V) -> ValidityReport:
@@ -175,21 +201,20 @@ def partial_transpose(V) -> np.ndarray:
 def ppt_nu_minus(V) -> np.ndarray | float:
     """Smallest symplectic eigenvalue of the partial transpose."""
     V = _as_covmat(V)
-    nm, _ = _sym_eigs(V * _PT)
+    nm, _, _ = _spectrum(V, transpose=True, symmetric=_is_symmetric(V))
     return float(nm) if nm.ndim == 0 else nm
 
 
-def _pt_invariants(V: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(D, det V, pd)``: D = det A + det B - 2 det C and det V (the sum and product of the
-    partial transpose's nu~^2), and the rows ``pd`` whose pivots w00, w11, s00, det S / s00
-    are positive and product finite.  det V = det A det S, S = B - C^T A^-1 C, by two
-    elimination steps and S's 2x2 det, errs on ``pd`` by at most (16 gamma_4 + gamma_3)
-    v00 v11 v22 v33 ~ 34 eps v00 v11 v22 v33 <= 2.1 eps |V|_F^4 to first order: the pivots
-    are exact for V + E, |E_ij| <= gamma_4 (|L||U|)_ij <= gamma_4 sqrt(v_ii v_jj) (LU's
-    backward error; V > 0), det(V + E) - det V ~ sum adj(V)_ji E_ij, |adj(V)_ij| sqrt(v_ii
-    v_jj) <= v00 v11 v22 v33 (a unit-diagonal V > 0 has cofactors at most 1), and the product
-    adds gamma_3 det V.  Rows whose A is not positive definite, or whose product overflows,
-    take the Laplace expansion (gamma_8 |V|_F^4, cancelling on squeezed states) instead."""
+def _pt_invariants(V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``simon_lhs``'s D = det A + det B - 2 det C and det V.  det V = det A det S, S = B -
+    C^T A^-1 C, by two elimination steps and S's 2x2 det, errs on a positive definite V by at
+    most (16 gamma_4 + gamma_3) v00 v11 v22 v33 ~ 34 eps v00 v11 v22 v33 <= 2.1 eps |V|_F^4 to
+    first order: the pivots are exact for V + E, |E_ij| <= gamma_4 (|L||U|)_ij <= gamma_4
+    sqrt(v_ii v_jj) (LU's backward error; V > 0), det(V + E) - det V ~ sum adj(V)_ji E_ij,
+    |adj(V)_ij| sqrt(v_ii v_jj) <= v00 v11 v22 v33 (a unit-diagonal V > 0 has cofactors at
+    most 1), and the product adds gamma_3 det V.  Rows whose A is not positive definite, or
+    whose product overflows, take the Laplace expansion (gamma_8 |V|_F^4, cancelling on
+    squeezed states) instead."""
     def minor(i, j, k):  # rows i, i + 1 and columns j, k
         return V[..., i, j] * V[..., i + 1, k] - V[..., i, k] * V[..., i + 1, j]
 
@@ -207,34 +232,15 @@ def _pt_invariants(V: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             (minor(0, 0, 1) * minor(2, 2, 3) - minor(0, 0, 2) * minor(2, 1, 3))
             + (minor(0, 0, 3) * minor(2, 1, 2) + minor(0, 1, 2) * minor(2, 0, 3))) + (
             minor(0, 2, 3) * minor(2, 0, 1) - minor(0, 1, 3) * minor(2, 0, 2)))
-    return d, det, ok & (w[2][2] > 0.0) & (det > 0.0)
-
-
-def _ppt_entangled(V: np.ndarray) -> np.ndarray:
-    """PPT verdict ``ppt_nu_minus(V) < 1/2 - 1e-10`` of a physical stack from nu~^2 =
-    2 det V / (D + sqrt(disc)), disc = D^2 - 4 det V, which errs by under 3 eps nu~^2 |V|_F^4
-    (1/det V + 1/disc), as does the eigen route: 2.1 from det V, 0.6 / disc from D (|D| <=
-    |V|_F^2 / 2, error under eps |V|_F^2) and disc, 0.1 / det V from 3 roundings.  Rows within
-    ten bounds of the cut, or not ``pd``, take the eigen route: all verdicts are the same."""
-    cut2 = (0.5 - PHYSICALITY_TOL) ** 2
-    d, det, pd = _pt_invariants(V)
-    disc = d * d - 4.0 * det
-    norm4 = np.einsum("...ij,...ij->...", V, V) ** 2
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        nu2 = 2.0 * det / (d + np.sqrt(disc))
-        bound = 3.0 * np.finfo(float).eps * nu2 * norm4 * (1.0 / det + 1.0 / disc)
-        sure = pd & (np.abs(nu2 - cut2) > 10.0 * bound)
-    entangled = np.asarray(nu2 < cut2)
-    if not np.all(sure):
-        entangled[~sure] = ppt_nu_minus(V[~sure]) < 0.5 - PHYSICALITY_TOL
-    return entangled
+    return d, det
 
 
 def simon_lhs(V) -> np.ndarray | float:
     """Left-hand side 4*(det A + det B - 2 det C) - 16 det V of the determinant-based
-    inseparability test (entangled iff > 1), both terms from ``_pt_invariants``."""
+    inseparability test (entangled iff > 1), both terms from ``_pt_invariants``.  The PPT
+    verdict reads ``_spectrum``'s factor instead; the two verdicts differ only near the cut."""
     V = _as_covmat(V)
-    d, det, _ = _pt_invariants(V)
+    d, det = _pt_invariants(V)
     out = 4.0 * d - 16.0 * det
     return float(out) if out.ndim == 0 else out
 

@@ -215,7 +215,7 @@ def _evaluate(V: np.ndarray) -> dict:
     LABELS)."""
     delta = _delta_raw(V)
     det_m = _det_m(V)
-    entangled = core._ppt_entangled(V)
+    entangled = core._spectrum(V, transpose=True)[0] < 0.5 - core.PHYSICALITY_TOL
     epr = delta < 2.0
     qt = det_m < 4.0
     codes = np.select([~entangled, epr, qt], _PRECEDENCE, _CODE[Classification.ENTANGLED_NO_QT])

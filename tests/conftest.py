@@ -8,6 +8,7 @@ against these routes so that a shared bug cannot hide.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -49,6 +50,34 @@ def det_block_ppt_nu(V):
     disc = np.clip(delta * delta - 4.0 * np.linalg.det(V), 0.0, None)
     root = np.sqrt(disc)
     return np.sqrt(np.clip(0.5 * (delta - root), 0.0, None))
+
+
+def exact_pt_invariants(V):
+    """``(D~, det V)`` of each stored 4x4 matrix, D~ = det A + det B - 2 det C, as exact
+    Fractions in object arrays: each entry is x / 2**q for an integer x, and both are sums of
+    products of the 2x2 minors of rows 0-1 (r) and of rows 2-3 (s) of the x."""
+    V = np.asarray(V, dtype=float)
+    m, e = np.frexp(V.reshape(-1, 16))
+    d, det = np.empty((2, len(m)), dtype=object)
+    pairs = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]  # minor k's columns; 5 - k's left
+    for n, (mant, exps) in enumerate(zip((m * 2.0**53).astype(np.int64).tolist(), e.tolist())):
+        q = max(0, 53 - min(exps))
+        x = [a << (b - 53 + q) for a, b in zip(mant, exps)]
+        r, s = ([x[o + i] * x[o + 4 + j] - x[o + j] * x[o + 4 + i] for i, j in pairs]
+                for o in (0, 8))
+        d[n] = Fraction(r[0] + s[5] - 2 * r[5], 1 << 2 * q)
+        det[n] = Fraction(r[0] * s[5] - r[1] * s[4] + r[2] * s[3] + r[3] * s[2] - r[4] * s[1]
+                          + r[5] * s[0], 1 << 4 * q)
+    return d.reshape(V.shape[:-2]), det.reshape(V.shape[:-2])
+
+
+def exact_ppt_entangled(V, cut=0.5 - 1e-10):
+    """Exact verdict nu~_minus < cut (a float, or one per matrix) of each stored symmetric
+    positive definite 4x4 matrix: nu~_-^2 and nu~_+^2 are the roots of x^2 - D~ x + det V,
+    so with t = cut it is entangled iff t^4 - D~ t^2 + det V < 0 or 2 t^2 > D~."""
+    d, det = exact_pt_invariants(V)
+    t2 = np.vectorize(lambda t: Fraction(t) ** 2, otypes=[object])(cut)
+    return (t2 * t2 - d * t2 + det < 0) | (2 * t2 > d)
 
 
 def williamson_nu(V):

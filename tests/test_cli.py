@@ -109,18 +109,20 @@ def test_analyze_out_file(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("fmt, budget, physical", [
-    ("json", 2, True), ("csv", 2, True), ("json", 1, False), ("csv", 1, False),
-], ids=["json-2", "csv-2", "unphysical-json-1", "unphysical-csv-1"])
+    ("json", 3, True), ("csv", 2, True), ("json", 1, False), ("csv", 1, False),
+], ids=["json-3", "csv-2", "unphysical-json-1", "unphysical-csv-1"])
 def test_analyze_spectrum_budget(tmp_path, capsys, monkeypatch, rng, fmt, budget, physical):
+    # factorisations: validate, _evaluate's flag and, in JSON, _verdict's; LAPACK none
     path = tmp_path / "state.json"
     V = sampling.random_physical_covmats(rng, 1)[0] if physical else 0.4 * np.eye(4)
     core.save_covmat(V, path)
     calls = []
-    real = core._sym_eigs
-    monkeypatch.setattr(core, "_sym_eigs", lambda V: calls.append(1) or real(V))
+    for name, real in (("_spectrum", core._spectrum), ("_sym_eigs", core._sym_eigs)):
+        monkeypatch.setattr(core, name,
+                            lambda *a, f=real, n=name, **k: calls.append(n) or f(*a, **k))
     code, _, _ = run(capsys, "analyze", str(path), "--format", fmt)
     assert code == (cli.EXIT_OK if physical else cli.EXIT_UNPHYSICAL)
-    assert len(calls) <= budget
+    assert calls == ["_spectrum"] * budget
 
 
 # ------------------------------------------------------------------ state

@@ -1,7 +1,6 @@
 """Validity, symplectic spectra, separability verdicts, standard form, JSON, row writer."""
 
 import decimal
-import itertools
 import json
 import math
 from fractions import Fraction
@@ -16,7 +15,8 @@ import gaussqt.resources as resources
 import gaussqt.sampling as sampling
 import gaussqt.sweep as sweep
 from gaussqt.errors import InvalidInput, PreconditionFailed
-from conftest import det_block_nu, reference_rows, williamson_nu, two_mode_squeezer
+from conftest import (det_block_nu, exact_ppt_entangled, exact_pt_invariants, reference_rows,
+                      williamson_nu, two_mode_squeezer)
 
 VACUUM = 0.5 * np.eye(4)
 
@@ -101,8 +101,8 @@ def test_require_physical_stacked(rng):
 
 
 def test_pure_squeezed_state_on_the_boundary():
-    # eigendecomposition route keeps nu at 1/2 to machine precision even
-    # though the determinant closed form loses ~7e-9 here
+    # the factor keeps nu at 1/2 to machine precision even though the
+    # determinant closed form loses ~7e-9 here
     for r in (0.3, 0.5, 1.0, 1.5):
         nm, npl = core.symplectic_eigenvalues(tmsv(r))
         assert abs(nm - 0.5) < 1e-12
@@ -262,14 +262,8 @@ def test_simon_lhs_keeps_its_digits_on_strongly_squeezed_tmsts():
         [0.5, 2.0, 7.0, 30.0, 100.0], indexing="ij"))
     V = resources.tmst_covmat(r, k1, k2)
     lhs = core.simon_lhs(V)
-
-    def det2(M):
-        return M[0][0] * M[1][1] - M[0][1] * M[1][0]
-
-    for i in range(r.size):
-        M = [[Fraction(x) for x in row] for row in V[i].tolist()]
-        A, B, C = [m[:2] for m in M[:2]], [m[2:] for m in M[2:]], [m[2:] for m in M[:2]]
-        exact = 4 * (det2(A) + det2(B) - 2 * det2(C)) - 16 * exact_det(V[i])
+    d, det = exact_pt_invariants(V)
+    for i, exact in enumerate(4 * d - 16 * det):
         assert abs(Fraction(lhs[i]) - exact) <= Fraction(1e-10) * abs(exact), (r[i], k1[i], k2[i])
     eta, zeta, c = V[:, 0, 0], V[:, 2, 2], V[:, 0, 2]
     closed = 4.0 * (eta**2 + zeta**2 + 2.0 * c**2) - 16.0 * (k1 * k2) ** 2
@@ -297,7 +291,7 @@ def test_simon_lhs_is_the_determinant_formula_on_any_matrix(rng):
     assert core.simon_lhs(np.zeros((4, 4))) == 0.0
 
 
-# ------------------------------------------------ closed-form PPT verdict
+# ----------------------------------------------------------- PPT verdict
 
 PPT_CUT = 0.5 - 1e-10
 
@@ -322,7 +316,7 @@ def locally_transformed(rng, V):
 
 
 def ppt_ensembles(rng, n):
-    """Adversarial stacks for the closed-form verdict, by name."""
+    """Adversarial stacks for the PPT verdict, by name."""
     r = rng.uniform(0.0, 3.0, n)
     k = 0.5 + 10.0 ** rng.uniform(-12.0, -3.0, (2, n))
     out = {
@@ -330,6 +324,8 @@ def ppt_ensembles(rng, n):
         "separable": sampling.random_separable_covmats(rng, n),
         "near-pure TMSV": locally_transformed(rng, resources.tmst_covmat(r, k[0], k[1])),
         "TMSV r <= 17": resources.tmst_covmat(np.linspace(0.0, 17.0, n), 0.5, 0.5),
+        "bs": resources.bs_covmat(3.0 * r, 10.0 ** rng.uniform(math.log10(0.5), 2.0, n),
+                                  rng.uniform(0.01, 0.99, n)),
     }
     for name, centre in (("1/2", 0.5), ("the cut", PPT_CUT)):
         delta = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-16.0, -6.0, n)
@@ -340,63 +336,54 @@ def ppt_ensembles(rng, n):
     return out
 
 
-def test_closed_form_ppt_verdict_matches_eigen_route(rng):
-    for name, V in ppt_ensembles(rng, 20_000).items():
-        expected = core.ppt_nu_minus(V) < PPT_CUT
-        got = core._ppt_entangled(V)
-        assert got.shape == expected.shape
-        assert np.array_equal(got, expected), name
-        assert np.array_equal(core._ppt_entangled(V.reshape(4, -1, 4, 4)),
-                              expected.reshape(4, -1)), name
-        for i in range(0, len(V), 997):
-            single = core._ppt_entangled(V[i])
-            assert single.shape == () and bool(single) == expected[i], (name, i)
+def test_ppt_verdict_is_exact_off_the_cut(rng):
+    # against exact arithmetic on the stored matrix, wrong verdicts of pd rows lie within a
+    # band of 1.0 eps |V|_F about the cut (0.43 the worst seen; LAPACK's reach 1.5)
+    for name, V in ppt_ensembles(rng, 10_000).items():
+        nm, _, pd = core._spectrum(V, transpose=True)
+        wrong = np.flatnonzero(pd & ((nm < PPT_CUT) != exact_ppt_entangled(V)))
+        delta = 1.0 * np.finfo(float).eps * np.linalg.norm(V[wrong], axis=(1, 2))
+        assert np.all(exact_ppt_entangled(V[wrong], PPT_CUT - delta)
+                      != exact_ppt_entangled(V[wrong], PPT_CUT + delta)), name
+        assert np.array_equal(core._spectrum(V.reshape(4, -1, 4, 4), transpose=True)[0],
+                              nm.reshape(4, -1)), name
 
 
-def test_closed_form_ppt_verdict_falls_back_on_exactly_the_uncleared_rows(rng, monkeypatch):
-    ordinary = sampling.random_physical_covmats(rng, 64)
-    eta = np.array([0.6, 1.0, 3.0, 30.0])
-    at_cut = symmetric_standard_form(eta, eta - PPT_CUT)
-    # 1e-12 from 1/2 is far outside the bound at eta ~ 1, but inside it at
-    # eta = 1e4, where the entries make det V uncertain to ~1e-7 relative
-    near_half = symmetric_standard_form(np.full(2, 1e4), 1e4 - 0.5 + np.array([1e-12, -1e-12]))
-    V = np.concatenate([ordinary[:32], at_cut, ordinary[32:], near_half])
-    uncleared = np.concatenate([at_cut, near_half])
+def test_a_row_alone_gives_the_bits_it_gives_in_its_stack(rng):
+    # numpy rounds +, -, *, / and sqrt alike on scalars and arrays, but not x ** 2 (a factor
+    # squaring so fails here); the TMSVs are not pd from r = 9.078
+    for name, V in ppt_ensembles(rng, 750).items():
+        stack = zip(*core.symplectic_eigenvalues(V), core._physicality(V)[3], core.ppt_nu_minus(V))
+        for i, row in enumerate(stack):
+            rep = core.validate(V[i])
+            single = (rep.nu_minus, rep.nu_plus, rep.physical, core.ppt_nu_minus(V[i]))
+            assert single == row and core.symplectic_eigenvalues(V[i]) == row[:2], (name, i)
+
+
+def test_lapack_takes_exactly_the_rows_the_factor_cannot(rng, monkeypatch):
+    # no pure TMSV of a 0.001 grid over [4.77, 9) reaches LAPACK (the closed form sent 1,285
+    # of the rows in [4.77, 9.1) there); rows 32-33 are asymmetric, and 34-37 not positive
+    # definite: -I, a zero pivot, an indefinite matrix and a pure TMSV at r = 9.078
+    tmsv = resources.tmst_covmat(4.77 + 0.001 * np.arange(4230), 0.5, 0.5)
+    ordinary = np.concatenate([sampling.random_physical_covmats(rng, 64), tmsv])
+    V = np.concatenate([ordinary[:34], [-np.eye(4), np.diag([1.0, 1.0, 1.0, 0.0]),
+                        [[0.0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, -1]],
+                        resources.tmst_covmat(9.078, 0.5, 0.5)], ordinary[32:]])
+    V[32:34, 0, 1] += 1e-6
     calls = []
-    real = core._sym_eigs
-    monkeypatch.setattr(core, "_sym_eigs", lambda W: calls.append(W) or real(W))
-    got = core._ppt_entangled(V)
-    assert len(calls) == 1
-    assert np.array_equal(core.partial_transpose(calls[0]), uncleared)
-    monkeypatch.setattr(core, "_sym_eigs", real)
-    assert np.array_equal(got, core.ppt_nu_minus(V) < PPT_CUT)
-    assert not got[-2:].any()
-
-
-def test_squeezed_vacua_keep_the_closed_form_verdict(monkeypatch):
-    # a pure TMSV has det V = 1/16 from entries of about e^{2r} / 4; a Laplace det V
-    # cancels there (0.03125 at r = 4.77, -0.375 at r = 5) and sent about half of
-    # these rows to the eigen route; the elimination's det V keeps its digits
-    V = resources.tmst_covmat(4.77 + 0.001 * np.arange(730), 0.5, 0.5)
-    calls = []
-    real = core._sym_eigs
-    monkeypatch.setattr(core, "_sym_eigs", lambda W: calls.append(len(W)) or real(W))
-    assert core._ppt_entangled(V).all()
-    assert calls == []
-
-
-def exact_det(V):
-    """det V of one 4x4 matrix, exactly, over the 24 permutations."""
-    M = [[Fraction(x) for x in row] for row in V.tolist()]
-    det = Fraction(0)
-    for p in itertools.permutations(range(4)):
-        sign = (-1) ** sum(p[i] > p[j] for i in range(4) for j in range(i + 1, 4))
-        det += sign * M[0][p[0]] * M[1][p[1]] * M[2][p[2]] * M[3][p[3]]
-    return det
+    monkeypatch.setattr(core, "_sym_eigs", lambda W, f=core._sym_eigs: calls.append(W) or f(W))
+    assert np.all(core._spectrum(tmsv, transpose=True)[0] < PPT_CUT) and calls == []
+    # the verdict path's rows are known to be symmetric: only its non-pd rows go
+    for run, mask, first in ((core.symplectic_eigenvalues, 1.0, 32), (core._physicality, 1.0, 32),
+                             (core.ppt_nu_minus, core._PT, 32),
+                             (lambda V: core._spectrum(V, transpose=True), core._PT, 34)):
+        calls.clear()
+        run(V)
+        assert len(calls) == 1 and np.array_equal(calls[0] * mask, V[first:38])
 
 
 def test_elimination_det_stays_within_its_bound(rng):
-    # the bound _pt_invariants states on the rows it certifies positive definite:
+    # the bound _pt_invariants states on positive definite rows (those the factor takes):
     # |fl(det V) - det V| <= (16 gamma_4 + gamma_3) v00 v11 v22 v33 <= 2.1 eps |V|_F^4
     u = Fraction(2) ** -53
     gamma = [k * u / (1 - k * u) for k in range(5)]
@@ -412,13 +399,14 @@ def test_elimination_det_stays_within_its_bound(rng):
             math.log10(0.5), 2.0, n), rng.uniform(0.01, 0.99, n)),
     }
     for name, V in stacks.items():
-        d, det, pd = core._pt_invariants(V)
+        d, det = core._pt_invariants(V)
+        pd = core._spectrum(V)[2]
         A, B, C = V[:, :2, :2], V[:, 2:, 2:], V[:, :2, 2:]
         assert np.array_equal(d, core._det2(A) + core._det2(B) - 2.0 * core._det2(C)), name
-        # the TMSV stack's elimination certifies up to r ~ 9
+        # the factor certifies the TMSV stack up to r ~ 9
         assert np.mean(pd) > 0.5, name
         for i in np.flatnonzero(pd):
-            err = abs(Fraction(det[i]) - exact_det(V[i]))
+            err = abs(Fraction(det[i]) - exact_pt_invariants(V[i])[1])
             diag = math.prod(Fraction(V[i, k, k]) for k in range(4))
             norm4 = sum(Fraction(x) ** 2 for x in V[i].ravel().tolist()) ** 2
             assert err <= (16 * gamma[4] + gamma[3]) * diag <= Fraction(4.2) * u * norm4, (
