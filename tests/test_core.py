@@ -360,10 +360,10 @@ def test_a_row_alone_gives_the_bits_it_gives_in_its_stack(rng):
             assert single == row and core.symplectic_eigenvalues(V[i]) == row[:2], (name, i)
 
 
-def test_lapack_takes_exactly_the_rows_the_factor_cannot(rng, monkeypatch):
-    # no pure TMSV of a 0.001 grid over [4.77, 9) reaches LAPACK (the closed form sent 1,285
-    # of the rows in [4.77, 9.1) there); rows 32-33 are asymmetric, and 34-37 not positive
-    # definite: -I, a zero pivot, an indefinite matrix and a pure TMSV at r = 9.078
+def test_closed_form_ppt_verdict_falls_back_on_exactly_the_uncleared_rows(rng, monkeypatch):
+    # the factor's closed form nu_- = det L / nu_+ leaves LAPACK only the rows it cannot
+    # take: rows 32-33 are asymmetric, and 34-37 not positive definite: -I, a zero pivot,
+    # an indefinite matrix and a pure TMSV at r = 9.078
     tmsv = resources.tmst_covmat(4.77 + 0.001 * np.arange(4230), 0.5, 0.5)
     ordinary = np.concatenate([sampling.random_physical_covmats(rng, 64), tmsv])
     V = np.concatenate([ordinary[:34], [-np.eye(4), np.diag([1.0, 1.0, 1.0, 0.0]),
@@ -372,7 +372,6 @@ def test_lapack_takes_exactly_the_rows_the_factor_cannot(rng, monkeypatch):
     V[32:34, 0, 1] += 1e-6
     calls = []
     monkeypatch.setattr(core, "_sym_eigs", lambda W, f=core._sym_eigs: calls.append(W) or f(W))
-    assert np.all(core._spectrum(tmsv, transpose=True)[0] < PPT_CUT) and calls == []
     # the verdict path's rows are known to be symmetric: only its non-pd rows go
     for run, mask, first in ((core.symplectic_eigenvalues, 1.0, 32), (core._physicality, 1.0, 32),
                              (core.ppt_nu_minus, core._PT, 32),
@@ -380,6 +379,16 @@ def test_lapack_takes_exactly_the_rows_the_factor_cannot(rng, monkeypatch):
         calls.clear()
         run(V)
         assert len(calls) == 1 and np.array_equal(calls[0] * mask, V[first:38])
+
+
+def test_squeezed_vacua_keep_the_closed_form_verdict(monkeypatch):
+    # no pure TMSV of a 0.001 grid over [4.77, 9) reaches LAPACK (the bounded closed form
+    # this factor replaced sent 1,285 of the rows in [4.77, 9.1) there)
+    V = resources.tmst_covmat(4.77 + 0.001 * np.arange(4230), 0.5, 0.5)
+    calls = []
+    monkeypatch.setattr(core, "_sym_eigs", lambda W, f=core._sym_eigs: calls.append(W) or f(W))
+    nm, _, pd = core._spectrum(V, transpose=True)
+    assert np.all(nm < PPT_CUT) and pd.all() and calls == []
 
 
 def test_elimination_det_stays_within_its_bound(rng):
