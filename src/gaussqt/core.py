@@ -94,21 +94,21 @@ def blocks(V) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _sym_eigs(V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Symplectic pair from LAPACK: |eigenvalues| of i Omega V, (+/-) partners averaged, for
-    the rows ``_spectrum``'s factor cannot take: asymmetric input, and rows that are not
-    positive definite (a pure TMSV from r = 9.078 on).  None of them is physical."""
+    """Symplectic pair from LAPACK (|eigenvalues| of i Omega V, +/- partners averaged) for rows
+    ``_spectrum``'s factor cannot take, e.g. a pure TMSV from r = 9.078 on; none is physical."""
     a = np.sort(np.abs(np.linalg.eigvals(OMEGA @ V)), axis=-1)
     return 0.5 * (a[..., 0] + a[..., 1]), 0.5 * (a[..., 2] + a[..., 3])
 
 
-def _spectrum(V: np.ndarray, transpose: bool = False, symmetric=True) -> tuple[np.ndarray, ...]:
-    """``(nu_minus, nu_plus, pd)`` of V, or of its partial transpose, from V = L L^T; ``pd``
-    marks rows with positive pivots and a finite nu_plus.  K = L^T Omega L has eigenvalues
-    +-i nu: with p = (K01 + K23, K02 - K13, K03 + K12) and m = (K01 - K23, K02 + K13, K03 -
-    K12), nu_plus = (|p| + |m|) / 2 and nu_minus = det L / nu_plus (det L = Pf K), neither
-    cancelling.  Mode a adds only l00 l11 to K01; Omega~ = J (+) -J flips mode b's terms.
-    Rows not ``pd`` or not ``symmetric`` (the factor reads the lower triangle) take
-    ``_sym_eigs``.  Only +, -, *, / and sqrt touch the entries (np.square is x * x; x ** 2
+def _spectrum(V: np.ndarray, symmetric=True) -> tuple[np.ndarray, ...]:
+    """``(nu_minus, nu_plus, pt_nu_minus, pd)`` from one factor V = L L^T: V's symplectic pair,
+    its partial transpose's nu_minus, and ``pd``, positive pivots and a finite nu_plus.  K =
+    L^T Omega L has eigenvalues +-i nu: with p = (K01 + K23, K02 - K13, K03 + K12) and m =
+    (K01 - K23, K02 + K13, K03 - K12), nu_plus = (|p| + |m|) / 2 and nu_minus = det L / nu_plus
+    (det L = Pf K, capped at nu_plus, which it passes by rounding at a double eigenvalue), with
+    no cancellation.  K01 = l00 l11 + b; Omega~ = J (+) -J flips mode b's terms, b and K23.
+    Rows not ``pd`` or not ``symmetric`` (the factor reads the lower triangle) take ``_sym_eigs``
+    for both spectra.  Only +, -, *, / and sqrt touch the entries (np.square is x * x; x ** 2
     on a numpy scalar is not), so a row gives the same bits alone as in a stack."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         l00 = np.sqrt(V[..., 0, 0])
@@ -117,31 +117,36 @@ def _spectrum(V: np.ndarray, transpose: bool = False, symmetric=True) -> tuple[n
         a = l00 * l11
         l21, l31 = (V[..., 2, 1] - l20 * l10) / l11, (V[..., 3, 1] - l30 * l10) / l11
         del l00, l10, l11
-        sign = -1.0 if transpose else 1.0
-        k01 = a + sign * (l20 * l31 - l30 * l21)
+        b = l20 * l31 - l30 * l21
         l22 = np.sqrt(V[..., 2, 2] - l20 * l20 - l21 * l21)
         l32 = (V[..., 3, 2] - l30 * l20 - l31 * l21) / l22
         l33 = V[..., 3, 3] - l30 * l30 - l31 * l31 - l32 * l32
         k02, k12 = l20 * l32 - l30 * l22, l21 * l32 - l31 * l22
         del l30, l31, l32
         l33 = np.sqrt(l33)
-        k03, k13, k23, det = l20 * l33, l21 * l33, sign * (l22 * l33), a * l22 * l33
-        del a, l20, l21, l22, l33
-        p = np.sqrt(np.square(k01 + k23) + np.square(k02 - k13) + np.square(k03 + k12))
-        m = np.sqrt(np.square(k01 - k23) + np.square(k02 + k13) + np.square(k03 - k12))
-        nu_plus = np.asarray(0.5 * (p + m))
-        nu_minus = np.asarray(det / nu_plus)
+        k03, k13, k23, det = l20 * l33, l21 * l33, l22 * l33, a * l22 * l33
+        del l20, l21, l22, l33
+        p2, p3, m2, m3 = (np.square(k02 - k13), np.square(k03 + k12),
+                          np.square(k02 + k13), np.square(k03 - k12))
+        del k02, k03, k12, k13
+        def pair(k01, k23):  # both spectra add p2 + p3 and m2 + m3 after K01's term
+            nu_plus = 0.5 * (np.sqrt(np.square(k01 + k23) + p2 + p3)
+                             + np.sqrt(np.square(k01 - k23) + m2 + m3))
+            return np.asarray(np.minimum(det / nu_plus, nu_plus)), np.asarray(nu_plus)
+        nu_minus, nu_plus = pair(a + b, k23)
+        pt_nu_minus = pair(a - b, -k23)[0]
     pd = (det > 0.0) & (nu_plus < np.inf)
     lapack = ~(pd & symmetric)
     if lapack.any():
-        nu_minus[lapack], nu_plus[lapack] = _sym_eigs(V[lapack] * (_PT if transpose else 1.0))
-    return nu_minus, nu_plus, pd
+        nu_minus[lapack], nu_plus[lapack] = _sym_eigs(V[lapack])
+        pt_nu_minus[lapack] = _sym_eigs(V[lapack] * _PT)[0]
+    return nu_minus, nu_plus, pt_nu_minus, pd
 
 
 def symplectic_eigenvalues(V) -> tuple[np.ndarray, np.ndarray]:
     """Return ``(nu_minus, nu_plus)``; stacked input gives stacked output."""
     V = _as_covmat(V)
-    nm, np_, _ = _spectrum(V, symmetric=_is_symmetric(V))
+    nm, np_ = _spectrum(V, _is_symmetric(V))[:2]
     return (float(nm), float(np_)) if nm.ndim == 0 else (nm, np_)
 
 
@@ -153,13 +158,11 @@ class ValidityReport:
     physical: bool
 
 
-def _physicality(V: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """``(symmetric, nu_minus, nu_plus, physical)`` of a finite stack: the one statement of
-    the physicality rule, nu_minus >= 1/2 - 1e-10 on a symmetric matrix whose factor V = L L^T
-    has positive pivots (an indefinite matrix can have every symplectic eigenvalue above 1/2)."""
-    symmetric = _is_symmetric(V)
-    nm, np_, pd = _spectrum(V, symmetric=symmetric)
-    return symmetric, nm, np_, symmetric & pd & (nm >= 0.5 - PHYSICALITY_TOL)
+def _physicality(V: np.ndarray, symmetric=True) -> tuple[np.ndarray, ...]:
+    """``_spectrum`` with ``pd`` replaced by the one physicality rule: nu_minus >= 1/2 - 1e-10
+    on a ``symmetric``, ``pd`` matrix (an indefinite one can have every nu above 1/2)."""
+    nm, np_, pt_nm, pd = _spectrum(V, symmetric)
+    return nm, np_, pt_nm, symmetric & pd & (nm >= 0.5 - PHYSICALITY_TOL)
 
 
 def validate(V) -> ValidityReport:
@@ -167,7 +170,8 @@ def validate(V) -> ValidityReport:
     V = _as_covmat(V)
     if V.ndim != 2:
         raise InvalidInput("validate expects a single 4x4 matrix")
-    symmetric, nm, np_, physical = _physicality(V)
+    symmetric = _is_symmetric(V)
+    nm, np_, _, physical = _physicality(V, symmetric)
     return ValidityReport(symmetric=bool(symmetric), nu_minus=float(nm),
                           nu_plus=float(np_), physical=bool(physical))
 
@@ -176,10 +180,9 @@ def require_physical(V) -> np.ndarray:
     """Return ``V`` as an array, raising PreconditionFailed unless every
     matrix in the stack is a physical covariance matrix."""
     V = _as_covmat(V)
-    symmetric, _, _, physical = _physicality(V)
-    if not np.all(symmetric):
+    if not np.all(_is_symmetric(V)):
         raise PreconditionFailed("covariance matrix is not symmetric")
-    if not np.all(physical):
+    if not np.all(_physicality(V)[3]):
         raise PreconditionFailed(
             "covariance matrix violates the uncertainty bound V > 0, nu_minus >= 1/2"
         )
@@ -201,7 +204,7 @@ def partial_transpose(V) -> np.ndarray:
 def ppt_nu_minus(V) -> np.ndarray | float:
     """Smallest symplectic eigenvalue of the partial transpose."""
     V = _as_covmat(V)
-    nm, _, _ = _spectrum(V, transpose=True, symmetric=_is_symmetric(V))
+    nm = _spectrum(V, _is_symmetric(V))[2]
     return float(nm) if nm.ndim == 0 else nm
 
 

@@ -16,12 +16,12 @@ All comparisons against the boundaries 2 and 4 are strict with no
 tolerance band; raw values are always reported so consumers can apply
 their own thresholds.
 
-``_evaluate`` is the one evaluation path: it turns a stack of physical
+``_evaluate`` is the one evaluation path: it turns a stack of symmetric
 covariance matrices into the output row, a dict of column arrays whose keys
-are the output names in output order, and is the only place the label
-precedence is written.  ``classify`` (one state or a stack),
-``sweep.run_sweep`` (one call per chunk) and the CLI's ``analyze`` are views
-over it.
+are the output names in output order, and is the only place the physicality
+rule is applied to a label and the label precedence is written.  ``classify``
+(one state or a stack), ``sweep.run_sweep`` (one call per chunk) and the
+CLI's ``analyze`` are views over it.
 """
 
 from __future__ import annotations
@@ -201,24 +201,23 @@ LABELS = np.array([c.value for c in Classification])
 _CODE = {c: np.int8(i) for i, c in enumerate(Classification)}
 
 
-# the first true condition names the region; entangled and not QT otherwise
-_PRECEDENCE = (
-    _CODE[Classification.SEPARABLE],
-    _CODE[Classification.EPR_CORRELATED],
-    _CODE[Classification.QT_NO_EPR],
-)
+# the labels in precedence order: the first true condition names the region
+_PRECEDENCE = [_CODE[c] for c in (Classification.UNPHYSICAL, Classification.SEPARABLE,
+                                  Classification.EPR_CORRELATED, Classification.QT_NO_EPR,
+                                  Classification.ENTANGLED_NO_QT)]
 
 
 def _evaluate(V: np.ndarray) -> dict:
-    """The output row of a (..., 4, 4) stack already known to be physical: its
-    column arrays by output name, in output order (``class`` as int8 codes into
-    LABELS)."""
-    delta = _delta_raw(V)
-    det_m = _det_m(V)
-    entangled = core._spectrum(V, transpose=True)[0] < 0.5 - core.PHYSICALITY_TOL
+    """Output row of a (..., 4, 4) stack of symmetric matrices, columns in output order (``class``
+    as codes into LABELS); rows failing ``core._physicality`` read nan, False and Unphysical."""
+    pt_nu_minus, physical = core._physicality(V)[2:]
+    entangled = physical & (pt_nu_minus < 0.5 - core.PHYSICALITY_TOL)
+    delta, det_m = _delta_raw(V), _det_m(V)
+    if not physical.all():  # nan before _fidelity, so no unphysical row warns
+        delta, det_m = np.where(physical, delta, np.nan), np.where(physical, det_m, np.nan)
     epr = delta < 2.0
     qt = det_m < 4.0
-    codes = np.select([~entangled, epr, qt], _PRECEDENCE, _CODE[Classification.ENTANGLED_NO_QT])
+    codes = np.select([~physical, ~entangled, epr, qt, True], _PRECEDENCE)
     return {"delta_epr": delta, "f_epr": _f_epr(delta), "det_m": det_m,
             "fidelity": _fidelity(det_m), "entangled": entangled, "epr": epr, "qt": qt,
             "class": codes}
@@ -258,12 +257,12 @@ def classify(V):
         return _report(_UNPHYSICAL_ROW)
 
     flat = V.reshape(-1, 4, 4)
-    physical = np.all(np.abs(flat) <= core.MAX_ENTRY, axis=(1, 2))
-    physical[physical] = core._physicality(flat[physical])[3]
+    taken = np.all(np.abs(flat) <= core.MAX_ENTRY, axis=(1, 2))
+    taken[taken] = core._is_symmetric(flat[taken])
     row = {}
-    for name, col in _evaluate(flat[physical]).items():
-        out = np.full(physical.shape, _UNPHYSICAL_ROW[name], dtype=col.dtype)
-        out[physical] = col
+    for name, col in _evaluate(flat[taken]).items():
+        out = np.full(taken.shape, _UNPHYSICAL_ROW[name], dtype=col.dtype)
+        out[taken] = col
         row[name] = out.reshape(V.shape[:-2])
     if V.ndim == 2:
         return _report(row)

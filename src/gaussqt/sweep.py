@@ -9,12 +9,10 @@ rows (axis1, axis2 and the output row of ``criteria._evaluate``, whose
 ``class`` column holds int8 codes into ``criteria.LABELS``), and
 ``text``/``write`` format each chunk as it arrives, as CSV or JSON by
 their ``fmt`` argument, so nothing grows with the grid and one config can be
-written in both formats.  Rows are ordered with axis2 varying fastest.
-Sweep rows skip the physicality check, so a strongly squeezed row that
-``classify`` reads as Unphysical through rounding gets a verdict here (see
-ROADMAP item 1).  ``SweepConfig`` checks the grid's corners, so a sweep
-that starts cannot fail part-way.  Identical configurations produce
-byte-identical files.
+written in both formats.  Rows are ordered with axis2 varying fastest, and
+a row reads as ``classify`` reads its matrix, Unphysical included.
+``SweepConfig`` checks the grid's corners, so a sweep that starts cannot
+fail part-way.  Identical configurations produce byte-identical files.
 """
 
 from __future__ import annotations

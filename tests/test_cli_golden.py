@@ -22,7 +22,7 @@ import gaussqt.sweep as sweep
 
 GOLDEN = Path(__file__).with_name("golden_cli.json")
 
-# a rotated, asymmetric physical state and a sub-vacuum (unphysical) one
+# a rotated physical state (exactly symmetric, with A != B) and a sub-vacuum (unphysical) one
 INPUTS = {
     "physical": [
         [4.51621356548123, 2.2084166993338488, -3.537080807296082, 3.8538117677063144],

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gaussqt.core as core
+import gaussqt.criteria as criteria
 import gaussqt.resources as resources
 import gaussqt.sampling as sampling
 import gaussqt.sweep as sweep
@@ -48,6 +49,21 @@ def test_subvacuum_is_unphysical():
     assert rep.symmetric
     assert not rep.physical
     assert abs(rep.nu_minus - 0.4) < 1e-14
+
+
+def test_nu_minus_never_exceeds_nu_plus():
+    # det L / nu_plus rounds on its own, and would pass nu_plus by an ulp on 344 of these
+    # c I (0.4 I among them) and on 24,471 of these TMSTs without the cap
+    c = np.linspace(0.3, 50.0, 2000)
+    stacks = {"c I": c[:, None, None] * np.eye(4),
+              "TMST r <= 2": resources.tmst_covmat(np.linspace(0.0, 2.0, 100_000), 1.0, 1.0)}
+    for name, V in stacks.items():
+        nm, npl = core.symplectic_eigenvalues(V)
+        assert np.all(nm <= npl), name
+    # c I is its own partial transpose
+    assert np.all(core.ppt_nu_minus(stacks["c I"]) <= core.symplectic_eigenvalues(stacks["c I"])[1])
+    rep = core.validate(0.4 * np.eye(4))
+    assert rep.nu_minus == rep.nu_plus == 0.4
 
 
 def test_asymmetric_is_unphysical():
@@ -340,12 +356,12 @@ def test_ppt_verdict_is_exact_off_the_cut(rng):
     # against exact arithmetic on the stored matrix, wrong verdicts of pd rows lie within a
     # band of 1.0 eps |V|_F about the cut (0.43 the worst seen; LAPACK's reach 1.5)
     for name, V in ppt_ensembles(rng, 10_000).items():
-        nm, _, pd = core._spectrum(V, transpose=True)
+        _, _, nm, pd = core._spectrum(V)
         wrong = np.flatnonzero(pd & ((nm < PPT_CUT) != exact_ppt_entangled(V)))
         delta = 1.0 * np.finfo(float).eps * np.linalg.norm(V[wrong], axis=(1, 2))
         assert np.all(exact_ppt_entangled(V[wrong], PPT_CUT - delta)
                       != exact_ppt_entangled(V[wrong], PPT_CUT + delta)), name
-        assert np.array_equal(core._spectrum(V.reshape(4, -1, 4, 4), transpose=True)[0],
+        assert np.array_equal(core._spectrum(V.reshape(4, -1, 4, 4))[2],
                               nm.reshape(4, -1)), name
 
 
@@ -353,10 +369,11 @@ def test_a_row_alone_gives_the_bits_it_gives_in_its_stack(rng):
     # numpy rounds +, -, *, / and sqrt alike on scalars and arrays, but not x ** 2 (a factor
     # squaring so fails here); the TMSVs are not pd from r = 9.078
     for name, V in ppt_ensembles(rng, 750).items():
-        stack = zip(*core.symplectic_eigenvalues(V), core._physicality(V)[3], core.ppt_nu_minus(V))
+        stack = zip(*core.symplectic_eigenvalues(V), core.ppt_nu_minus(V), *core._physicality(V))
         for i, row in enumerate(stack):
             rep = core.validate(V[i])
-            single = (rep.nu_minus, rep.nu_plus, rep.physical, core.ppt_nu_minus(V[i]))
+            single = (rep.nu_minus, rep.nu_plus, core.ppt_nu_minus(V[i]),
+                      *core._physicality(V[i])[:3], rep.physical)
             assert single == row and core.symplectic_eigenvalues(V[i]) == row[:2], (name, i)
 
 
@@ -372,13 +389,15 @@ def test_closed_form_ppt_verdict_falls_back_on_exactly_the_uncleared_rows(rng, m
     V[32:34, 0, 1] += 1e-6
     calls = []
     monkeypatch.setattr(core, "_sym_eigs", lambda W, f=core._sym_eigs: calls.append(W) or f(W))
-    # the verdict path's rows are known to be symmetric: only its non-pd rows go
-    for run, mask, first in ((core.symplectic_eigenvalues, 1.0, 32), (core._physicality, 1.0, 32),
-                             (core.ppt_nu_minus, core._PT, 32),
-                             (lambda V: core._spectrum(V, transpose=True), core._PT, 34)):
+    # each run sends those rows once for each spectrum; the verdict path's rows are known
+    # to be symmetric, so only its non-pd rows go
+    for run, first in ((core.symplectic_eigenvalues, 32), (core.ppt_nu_minus, 32),
+                       (lambda V: core._physicality(V, core._is_symmetric(V)), 32),
+                       (core._physicality, 34), (core._spectrum, 34)):
         calls.clear()
         run(V)
-        assert len(calls) == 1 and np.array_equal(calls[0] * mask, V[first:38])
+        assert len(calls) == 2 and np.array_equal(calls[0], V[first:38])
+        assert np.array_equal(calls[1] * core._PT, V[first:38])
 
 
 def test_squeezed_vacua_keep_the_closed_form_verdict(monkeypatch):
@@ -387,8 +406,21 @@ def test_squeezed_vacua_keep_the_closed_form_verdict(monkeypatch):
     V = resources.tmst_covmat(4.77 + 0.001 * np.arange(4230), 0.5, 0.5)
     calls = []
     monkeypatch.setattr(core, "_sym_eigs", lambda W, f=core._sym_eigs: calls.append(W) or f(W))
-    nm, _, pd = core._spectrum(V, transpose=True)
+    _, _, nm, pd = core._spectrum(V)
     assert np.all(nm < PPT_CUT) and pd.all() and calls == []
+
+
+def test_no_label_reads_lapack(rng, monkeypatch):
+    # LAPACK takes only rows that are not positive definite (or asymmetric), and those fail
+    # the physicality rule, so its spectra reach no label: the TMSVs are not pd from r = 9.078
+    stacks = {"TMSV r <= 20": resources.tmst_covmat(0.01 * np.arange(2001), 0.5, 0.5),
+              **ppt_ensembles(rng, 1000)}
+    want = {name: (criteria._evaluate(V)["class"], criteria.classify(V)[1])
+            for name, V in stacks.items()}
+    monkeypatch.setattr(core, "_sym_eigs", lambda W: (np.full(len(W), 0.1),) * 2)
+    for name, V in stacks.items():
+        assert np.array_equal(criteria._evaluate(V)["class"], want[name][0]), name
+        assert np.array_equal(criteria.classify(V)[1], want[name][1]), name
 
 
 def test_elimination_det_stays_within_its_bound(rng):
@@ -409,7 +441,7 @@ def test_elimination_det_stays_within_its_bound(rng):
     }
     for name, V in stacks.items():
         d, det = core._pt_invariants(V)
-        pd = core._spectrum(V)[2]
+        pd = core._spectrum(V)[3]
         A, B, C = V[:, :2, :2], V[:, 2:, 2:], V[:, :2, 2:]
         assert np.array_equal(d, core._det2(A) + core._det2(B) - 2.0 * core._det2(C)), name
         # the factor certifies the TMSV stack up to r ~ 9
@@ -765,7 +797,7 @@ def test_validate_total_on_symmetric_matrices(entries):
     rep = core.validate(V)
     assert rep.symmetric
     assert rep.nu_minus >= 0.0
-    assert rep.nu_plus >= rep.nu_minus - 1e-12
+    assert rep.nu_plus >= rep.nu_minus
     if rep.physical:
         core.require_physical(V)
     else:

@@ -331,6 +331,20 @@ def test_classify_stack_matches_per_row(rng):
     assert np.array_equal(rep2.det_m.ravel(), rep.det_m, equal_nan=True)
 
 
+def test_classify_factors_each_row_once(rng, monkeypatch):
+    # one factor gives both the physicality rule and the PPT verdict
+    calls = []
+    monkeypatch.setattr(core, "_spectrum",
+                        lambda V, *a, f=core._spectrum: calls.append(len(V)) or f(V, *a))
+    stack = sampling.random_physical_covmats(rng, 50)
+    stack[:10, 1, 2] += 1e-3  # asymmetric rows are masked before the kernel
+    criteria.classify(stack)
+    assert calls == [40]
+    calls.clear()
+    criteria.classify(VACUUM)
+    assert calls == [1]
+
+
 def test_classify_precedence_consistency(rng):
     Vs = sampling.random_physical_covmats(rng, 2000)
     for V in Vs[::7]:

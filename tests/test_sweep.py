@@ -11,6 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import gaussqt.cli as cli
 import gaussqt.core as core
 import gaussqt.criteria as criteria
 import gaussqt.resources as resources
@@ -271,6 +272,32 @@ def test_run_sweep_takes_no_spectrum_on_an_ordinary_grid(monkeypatch):
     grid = columns(tiny_tmst(3, 5))
     assert calls == []
     assert grid["axis1"].size == 15
+
+
+def test_sweep_rows_classify_and_state_agree(capsys):
+    # one rule on every path: a sweep row, classify and state give a point one label, also
+    # where rounding stored the matrix unphysical
+    def row_label(family, r, lo1, lo2):  # the first row of a grid whose corner is the point
+        names = sweep._FAMILIES[family][0]
+        config = sweep.SweepConfig(family, r, sweep.AxisSpec(names[0], lo1, lo1 + 0.5, 2),
+                                   sweep.AxisSpec(names[1], lo2, lo2 + 0.05, 2))
+        return criteria.LABELS[next(sweep.run_sweep(config))["class"][0]]
+
+    points = [("tmst", 0.5 * i, 0.5, 0.5) for i in range(41)] + [
+        ("bs", 0.01 * i, 0.5, T) for T in (0.3, 0.5, 0.9) for i in range(901)]
+    build = {family: f for family, (_, f) in sweep._FAMILIES.items()}
+    labels = {}
+    for point in points:
+        family, *args = point
+        labels[point] = criteria.classify(build[family](*args))[1].value
+        assert row_label(*point) == labels[point], point
+    # both grids reach matrices that rounding stored unphysical
+    assert {"tmst", "bs"} <= {p[0] for p, v in labels.items() if v == "Unphysical"}
+    for r in ("4.5", "9.5", "19"):
+        code = cli.main(["state", "tmst", "--r", r, "--k1", ".5", "--k2", ".5"])
+        capsys.readouterr()
+        want = labels[("tmst", float(r), 0.5, 0.5)] == "Unphysical"
+        assert code == (cli.EXIT_UNPHYSICAL if want else cli.EXIT_OK), r
 
 
 def test_sweep_is_deterministic():
