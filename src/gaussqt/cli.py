@@ -69,25 +69,24 @@ def _emit(text: str, out: str | None) -> None:
         print(text)
 
 
-def _analysis_json(validity, report, label, params, verdict) -> str:
-    fields = {
-        "validity": vars(validity),
-        "classification": label.value,
-        "report": vars(report),
-        "canonical": None if params is None else vars(params),
-        "entanglement": None if verdict is None else vars(verdict),
-    }
-    return "{\n" + ",\n".join(f'  "{k}": {core.json_token(v)}' for k, v in fields.items()) + "\n}"
-
-
 def _print_analysis(V, args) -> int:
-    validity = core.validate(V)
-    row = criteria._evaluate(V) if validity.physical else criteria._UNPHYSICAL_ROW
+    # one kernel call gives every field but the canonical form and simon_lhs
+    symmetric = core._is_symmetric(core._as_covmat(V))  # entries past MAX_ENTRY exit 3
+    (nm, np_, pt_nm, physical), row = criteria._evaluate(V, symmetric)
+    validity = core.ValidityReport(bool(symmetric), float(nm), float(np_), bool(physical))
     if args.format == "csv":
         text = core.record_csv({**row, "class": criteria.LABELS[row["class"]]})
     else:
-        extra = (core._canonical(V)[0], core._verdict(V)) if validity.physical else (None, None)
-        text = _analysis_json(validity, *criteria._report(row), *extra)
+        report, label = criteria._report(row)
+        fields = {
+            "validity": vars(validity),
+            "classification": label.value,
+            "report": vars(report),
+            "canonical": vars(core._canonical(V)[0]) if validity.physical else None,
+            "entanglement": vars(core._verdict(V, float(pt_nm))) if validity.physical else None,
+        }
+        lines = (f'  "{k}": {core.json_token(v)}' for k, v in fields.items())
+        text = "{\n" + ",\n".join(lines) + "\n}"
     _emit(text, args.out)
     return EXIT_OK if validity.physical else EXIT_UNPHYSICAL
 

@@ -267,13 +267,12 @@ def simon_inseparable(V) -> EntanglementVerdict:
     V = require_physical(V)
     if V.ndim != 2:
         raise InvalidInput("simon_inseparable expects a single 4x4 matrix")
-    return _verdict(V)
+    return _verdict(V, ppt_nu_minus(V))
 
 
-def _verdict(V: np.ndarray) -> EntanglementVerdict:
-    """Both tests on one matrix already known to be physical."""
+def _verdict(V: np.ndarray, nm: float) -> EntanglementVerdict:
+    """Both tests on one physical matrix, the PPT test on its partial transpose's nu_minus nm."""
     lhs = float(simon_lhs(V))
-    nm = float(ppt_nu_minus(V))
     return EntanglementVerdict(
         simon_lhs=lhs,
         simon_entangled=lhs > 1.0,

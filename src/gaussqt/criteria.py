@@ -16,12 +16,13 @@ All comparisons against the boundaries 2 and 4 are strict with no
 tolerance band; raw values are always reported so consumers can apply
 their own thresholds.
 
-``_evaluate`` is the one evaluation path: it turns a stack of symmetric
-covariance matrices into the output row, a dict of column arrays whose keys
-are the output names in output order, and is the only place the physicality
-rule is applied to a label and the label precedence is written.  ``classify``
-(one state or a stack), ``sweep.run_sweep`` (one call per chunk) and the
-CLI's ``analyze`` are views over it.
+``_evaluate`` is the one evaluation path: from one Cholesky factor per
+matrix it gives ``core._physicality``'s spectra and verdict and the output
+row, a dict of column arrays keyed by output name in output order, and is
+the only place the physicality rule is applied to a label and the label
+precedence is written.  ``classify`` (one state or a stack),
+``sweep.run_sweep`` (one call per chunk) and the CLI's ``analyze`` and
+``state`` (one call per matrix, whose spectra they print) are views over it.
 """
 
 from __future__ import annotations
@@ -207,10 +208,11 @@ _PRECEDENCE = [_CODE[c] for c in (Classification.UNPHYSICAL, Classification.SEPA
                                   Classification.ENTANGLED_NO_QT)]
 
 
-def _evaluate(V: np.ndarray) -> dict:
-    """Output row of a (..., 4, 4) stack of symmetric matrices, columns in output order (``class``
-    as codes into LABELS); rows failing ``core._physicality`` read nan, False and Unphysical."""
-    pt_nu_minus, physical = core._physicality(V)[2:]
+def _evaluate(V: np.ndarray, symmetric=True) -> tuple[tuple, dict]:
+    """``core._physicality(V, symmetric)`` and the output row of a (..., 4, 4) stack, columns in
+    output order (``class`` as codes into LABELS); unphysical rows read nan, False, Unphysical."""
+    spectra = core._physicality(V, symmetric)
+    pt_nu_minus, physical = spectra[2:]
     entangled = physical & (pt_nu_minus < 0.5 - core.PHYSICALITY_TOL)
     delta, det_m = _delta_raw(V), _det_m(V)
     if not physical.all():  # nan before _fidelity, so no unphysical row warns
@@ -218,9 +220,9 @@ def _evaluate(V: np.ndarray) -> dict:
     epr = delta < 2.0
     qt = det_m < 4.0
     codes = np.select([~physical, ~entangled, epr, qt, True], _PRECEDENCE)
-    return {"delta_epr": delta, "f_epr": _f_epr(delta), "det_m": det_m,
-            "fidelity": _fidelity(det_m), "entangled": entangled, "epr": epr, "qt": qt,
-            "class": codes}
+    return spectra, {"delta_epr": delta, "f_epr": _f_epr(delta), "det_m": det_m,
+                     "fidelity": _fidelity(det_m), "entangled": entangled, "epr": epr, "qt": qt,
+                     "class": codes}
 
 
 def _report(row: dict) -> tuple[CriteriaReport, Classification]:
@@ -260,7 +262,7 @@ def classify(V):
     taken = np.all(np.abs(flat) <= core.MAX_ENTRY, axis=(1, 2))
     taken[taken] = core._is_symmetric(flat[taken])
     row = {}
-    for name, col in _evaluate(flat[taken]).items():
+    for name, col in _evaluate(flat[taken])[1].items():
         out = np.full(taken.shape, _UNPHYSICAL_ROW[name], dtype=col.dtype)
         out[taken] = col
         row[name] = out.reshape(V.shape[:-2])

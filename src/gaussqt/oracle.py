@@ -100,10 +100,10 @@ def cf_value(V, lam) -> complex:
     return complex(math.exp(-0.5 * float(u @ V @ u)))
 
 
-def _nodes(radius: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the n-point midpoint rule on [-radius, radius]."""
+def _nodes(radius: float, n: int) -> tuple[np.ndarray, float]:
+    """Nodes and the common weight h of the n-point midpoint rule on [-radius, radius]."""
     h = 2.0 * radius / n
-    return -radius + (np.arange(n) + 0.5) * h, np.full(n, h)
+    return -radius + (np.arange(n) + 0.5) * h, h
 
 
 def _integrate(V: np.ndarray, radius: float, n: int) -> float:
@@ -111,10 +111,10 @@ def _integrate(V: np.ndarray, radius: float, n: int) -> float:
 
     Order contract: q is summed term by term, i outer and j inner, to keep
     einsum's bits.  errstate silences inf * 0 on an inf-node grid, as einsum
-    did, and overflow in the node squares, the integrand and the weights on a
+    did, and overflow in the node squares, the integrand and the weight on a
     grid too wide for floats; the caller raises on the non-finite value.
     """
-    x, w = _nodes(radius, n)
+    x, h = _nodes(radius, n)
     d = _displacement(x, x).T  # u's entries: Im l (0, 2) on axis 1, Re l on axis 0
     u = (d[0][None, :], d[1][:, None], d[2][None, :], d[3][:, None])
     q = np.zeros((n, n))
@@ -125,7 +125,7 @@ def _integrate(V: np.ndarray, radius: float, n: int) -> float:
         sq = x * x
         integrand = np.exp(-(sq[:, None] + sq[None, :]) - 0.5 * q)
         # np.sum reduces pairwise, keeping the result order-independent
-        return float(np.sum(integrand * np.outer(w, w))) / math.pi
+        return float(np.sum(integrand * (h * h))) / math.pi
 
 
 def fidelity_by_quadrature(V, spec: QuadratureSpec = DEFAULT_SPEC) -> QuadratureResult:

@@ -115,7 +115,7 @@ def run_sweep(config: SweepConfig):
         i = np.arange(lo, min(lo + _CHUNK, config.size))
         chunk = {"axis1": v1[i // v2.size], "axis2": v2[i % v2.size]}
         del i  # while a chunk is formatted, only its dict holds its arrays
-        chunk.update(criteria._evaluate(build(r, chunk["axis1"], chunk["axis2"])))
+        chunk.update(criteria._evaluate(build(r, chunk["axis1"], chunk["axis2"]))[1])
         yield chunk
 
 

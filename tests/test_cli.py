@@ -19,6 +19,8 @@ from hypothesis import strategies as st
 
 import gaussqt.cli as cli
 import gaussqt.core as core
+import gaussqt.criteria as criteria
+import gaussqt.resources as resources
 import gaussqt.sampling as sampling
 import gaussqt.sweep as sweep
 
@@ -109,10 +111,10 @@ def test_analyze_out_file(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("fmt, budget, physical", [
-    ("json", 3, True), ("csv", 2, True), ("json", 1, False), ("csv", 1, False),
-], ids=["json-3", "csv-2", "unphysical-json-1", "unphysical-csv-1"])
+    ("json", 1, True), ("csv", 1, True), ("json", 1, False), ("csv", 1, False),
+], ids=["json-1", "csv-1", "unphysical-json-1", "unphysical-csv-1"])
 def test_analyze_spectrum_budget(tmp_path, capsys, monkeypatch, rng, fmt, budget, physical):
-    # factorisations: validate, _evaluate's flag and, in JSON, _verdict's; LAPACK none
+    # one factorisation, _evaluate's, gives validity, report, label and the PPT test; LAPACK none
     path = tmp_path / "state.json"
     V = sampling.random_physical_covmats(rng, 1)[0] if physical else 0.4 * np.eye(4)
     core.save_covmat(V, path)
@@ -123,6 +125,79 @@ def test_analyze_spectrum_budget(tmp_path, capsys, monkeypatch, rng, fmt, budget
     code, _, _ = run(capsys, "analyze", str(path), "--format", fmt)
     assert code == (cli.EXIT_OK if physical else cli.EXIT_UNPHYSICAL)
     assert calls == ["_spectrum"] * budget
+
+
+def _public_analysis(V):
+    """What ``analyze`` of V prints, from the public API: the JSON fields as
+    tokens, the CSV record and the exit code."""
+    validity = core.validate(V)
+    report, label = criteria.classify(V)
+    fields = {"validity": vars(validity), "classification": label.value,
+              "report": vars(report), "canonical": None, "entanglement": None}
+    if validity.physical:
+        fields["canonical"] = vars(core.to_canonical(V)[0])
+        fields["entanglement"] = vars(core.simon_inseparable(V))
+    row = dict(zip(criteria._UNPHYSICAL_ROW, [*vars(report).values(), label.value]))
+    code = cli.EXIT_OK if validity.physical else cli.EXIT_UNPHYSICAL
+    return {k: core.json_token(v) for k, v in fields.items()}, core.record_csv(row), code
+
+
+def _printed_fields(out):
+    # the top-level fields of a JSON analysis, one per line, each as its printed token
+    lines = out.strip().split("\n")
+    assert lines[0] == "{" and lines[-1] == "}"
+    return {json.loads(key): token for key, _, token in
+            (line.strip().rstrip(",").partition(": ") for line in lines[1:-1])}
+
+
+def _mixed_states(rng):
+    n = 40
+    k1, k2 = rng.uniform(0.75, 3.0, (2, n))
+    # TMSTs just either side of the entanglement threshold, turned out of standard form
+    r = resources.r_ent_threshold(k1, k2) + rng.choice([-1.0, 1.0], n) * rng.uniform(0.001, 0.02, n)
+    S = np.zeros((n, 4, 4))
+    S[:, :2, :2] = sampling.random_local_symplectics(rng, n)
+    S[:, 2:, 2:] = sampling.random_local_symplectics(rng, n)
+    rotated = S @ resources.tmst_covmat(r, k1, k2) @ np.swapaxes(S, -1, -2)
+    asymmetric = sampling.random_physical_covmats(rng, 4)
+    asymmetric[:2, 0, 1] += 1e-6  # past SYMMETRY_TOL
+    asymmetric[2:, 0, 1] += 1e-13  # within it
+    return [*sampling.random_physical_covmats(rng, 80),
+            *sampling.random_separable_covmats(rng, 50),
+            *(0.5 * (rotated + np.swapaxes(rotated, -1, -2))),
+            *(0.5 * resources.tmst_covmat(rng.uniform(0.0, 1.0, 20), rng.uniform(0.5, 0.9, 20),
+                                          rng.uniform(0.5, 0.9, 20))),
+            *asymmetric, 0.4 * np.eye(4), -np.eye(4), resources.tmst_covmat(10.0, 0.5, 0.5)]
+
+
+def test_analyze_prints_what_the_public_api_gives(tmp_path, capsys, rng):
+    # validity, report, label, canonical form and both entanglement tests of every state
+    # agree token for token with validate, classify, to_canonical and simon_inseparable
+    states = _mixed_states(rng)
+    path = tmp_path / "state.json"
+    labels = []
+    for i, V in enumerate(states):
+        fields, csv, code = _public_analysis(V)
+        core.save_covmat(V, path)
+        got_code, out, err = run(capsys, "analyze", str(path))
+        assert (got_code, err, _printed_fields(out)) == (code, "", fields), i
+        assert run(capsys, "analyze", str(path), "--format", "csv") == (code, csv + "\n", ""), i
+        labels.append(json.loads(fields["classification"]))
+    assert len(states) == 197 and set(labels) == set(criteria.LABELS)
+
+
+@pytest.mark.parametrize("argv, V", [
+    (["tmst", "--r", "4.5", "--k1", "0.5", "--k2", "0.5"], resources.tmst_covmat(4.5, 0.5, 0.5)),
+    (["tmst", "--r", "0.35", "--k1", "1.5", "--k2", "0.75"],
+     resources.tmst_covmat(0.35, 1.5, 0.75)),
+    (["bs", "--r", "0.5", "--k", "0.5", "--T", "0.5"], resources.bs_covmat(0.5, 0.5, 0.5)),
+    (["bs", "--r", "8", "--k", "0.5", "--T", "0.3"], resources.bs_covmat(8.0, 0.5, 0.3)),
+], ids=["tmsv-4.5", "tmst-0.35", "bs-0.5", "bs-8"])
+def test_state_prints_what_the_public_api_gives(capsys, argv, V):
+    fields, csv, code = _public_analysis(V)
+    got_code, out, err = run(capsys, "state", *argv)
+    assert (got_code, err, _printed_fields(out)) == (code, "", fields)
+    assert run(capsys, "state", *argv, "--format", "csv") == (code, csv + "\n", "")
 
 
 # ------------------------------------------------------------------ state

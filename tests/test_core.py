@@ -415,11 +415,11 @@ def test_no_label_reads_lapack(rng, monkeypatch):
     # the physicality rule, so its spectra reach no label: the TMSVs are not pd from r = 9.078
     stacks = {"TMSV r <= 20": resources.tmst_covmat(0.01 * np.arange(2001), 0.5, 0.5),
               **ppt_ensembles(rng, 1000)}
-    want = {name: (criteria._evaluate(V)["class"], criteria.classify(V)[1])
+    want = {name: (criteria._evaluate(V)[1]["class"], criteria.classify(V)[1])
             for name, V in stacks.items()}
     monkeypatch.setattr(core, "_sym_eigs", lambda W: (np.full(len(W), 0.1),) * 2)
     for name, V in stacks.items():
-        assert np.array_equal(criteria._evaluate(V)["class"], want[name][0]), name
+        assert np.array_equal(criteria._evaluate(V)[1]["class"], want[name][0]), name
         assert np.array_equal(criteria.classify(V)[1], want[name][1]), name
 
 

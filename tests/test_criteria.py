@@ -365,7 +365,7 @@ def test_classify_precedence_consistency(rng):
 
 
 def test_output_row_is_stated_once(tmp_path, capsys, monkeypatch):
-    names = list(criteria._evaluate(VACUUM))
+    names = list(criteria._evaluate(VACUUM)[1])
     assert list(criteria._UNPHYSICAL_ROW) == names
     config = sweep.SweepConfig("tmst", 0.5, sweep.AxisSpec("k1", 0.5, 1.5, 3),
                                sweep.AxisSpec("k2", 0.5, 1.5, 3))

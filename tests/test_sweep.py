@@ -446,7 +446,7 @@ def test_bs_reference_grid_verdicts_match_the_explicit_product():
                             axis1=sweep.AxisSpec(*axes[0]), axis2=sweep.AxisSpec(*axes[1]))
     rows = 0
     for chunk in sweep.run_sweep(cfg):
-        want = criteria._evaluate(beam_splitter_product(cfg.r, chunk["axis1"], chunk["axis2"]))
+        want = criteria._evaluate(beam_splitter_product(cfg.r, chunk["axis1"], chunk["axis2"]))[1]
         for name in ("entangled", "epr", "qt", "class"):
             assert np.array_equal(chunk[name], want[name]), name
         rows += chunk["class"].size
