@@ -10,7 +10,8 @@ Conventions used throughout the package:
   smallest symplectic eigenvalue satisfies ``nu_minus >= 1/2 - 1e-10``.
 
 All numeric kernels accept stacked input of shape ``(..., 4, 4)`` and
-broadcast, so bulk property checks run at numpy speed.
+broadcast; all but ``simon_lhs``, which is exact and goes one matrix at a time,
+run elementwise in numpy.
 """
 
 from __future__ import annotations
@@ -93,23 +94,17 @@ def blocks(V) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return V[..., :2, :2], V[..., 2:, 2:], V[..., :2, 2:]
 
 
-def _sym_eigs(V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Symplectic pair from LAPACK (|eigenvalues| of i Omega V, +/- partners averaged) for rows
-    ``_spectrum``'s factor cannot take, e.g. a pure TMSV from r = 9.078 on; none is physical."""
-    a = np.sort(np.abs(np.linalg.eigvals(OMEGA @ V)), axis=-1)
-    return 0.5 * (a[..., 0] + a[..., 1]), 0.5 * (a[..., 2] + a[..., 3])
-
-
 def _spectrum(V: np.ndarray, symmetric=True) -> tuple[np.ndarray, ...]:
-    """``(nu_minus, nu_plus, pt_nu_minus, pd)`` from one factor V = L L^T: V's symplectic pair,
-    its partial transpose's nu_minus, and ``pd``, positive pivots and a finite nu_plus.  K =
-    L^T Omega L has eigenvalues +-i nu: with p = (K01 + K23, K02 - K13, K03 + K12) and m =
-    (K01 - K23, K02 + K13, K03 - K12), nu_plus = (|p| + |m|) / 2 and nu_minus = det L / nu_plus
-    (det L = Pf K, capped at nu_plus, which it passes by rounding at a double eigenvalue), with
-    no cancellation.  K01 = l00 l11 + b; Omega~ = J (+) -J flips mode b's terms, b and K23.
-    Rows not ``pd`` or not ``symmetric`` (the factor reads the lower triangle) take ``_sym_eigs``
-    for both spectra.  Only +, -, *, / and sqrt touch the entries (np.square is x * x; x ** 2
-    on a numpy scalar is not), so a row gives the same bits alone as in a stack."""
+    """``(nu_minus, nu_plus, pt_nu_minus)`` from one factor V = L L^T: V's symplectic pair and its
+    partial transpose's nu_minus.  K = L^T Omega L has eigenvalues +-i nu: with p = (K01 + K23,
+    K02 - K13, K03 + K12) and m = (K01 - K23, K02 + K13, K03 - K12), nu_plus = (|p| + |m|) / 2
+    and nu_minus = det L / nu_plus (det L = Pf K, capped at nu_plus, which it passes by rounding
+    at a double eigenvalue), with no cancellation.  K01 = l00 l11 + b; Omega~ = J (+) -J flips
+    mode b's terms, b and K23.  Williamson's theorem gives a spectrum only to a positive definite
+    V, so all three read nan on rows that are not ``symmetric`` (the factor reads the lower
+    triangle) or not pd: a pivot <= 0 or a non-finite nu_plus.  Only +, -, *, / and sqrt touch
+    the entries (np.square is x * x; x ** 2 on a numpy scalar is not), so a row gives the same
+    bits alone as in a stack."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         l00 = np.sqrt(V[..., 0, 0])
         l10, l20, l30 = V[..., 1, 0] / l00, V[..., 2, 0] / l00, V[..., 3, 0] / l00
@@ -132,19 +127,17 @@ def _spectrum(V: np.ndarray, symmetric=True) -> tuple[np.ndarray, ...]:
         def pair(k01, k23):  # both spectra add p2 + p3 and m2 + m3 after K01's term
             nu_plus = 0.5 * (np.sqrt(np.square(k01 + k23) + p2 + p3)
                              + np.sqrt(np.square(k01 - k23) + m2 + m3))
-            return np.asarray(np.minimum(det / nu_plus, nu_plus)), np.asarray(nu_plus)
+            return np.minimum(det / nu_plus, nu_plus), nu_plus
         nu_minus, nu_plus = pair(a + b, k23)
         pt_nu_minus = pair(a - b, -k23)[0]
-    pd = (det > 0.0) & (nu_plus < np.inf)
-    lapack = ~(pd & symmetric)
-    if lapack.any():
-        nu_minus[lapack], nu_plus[lapack] = _sym_eigs(V[lapack])
-        pt_nu_minus[lapack] = _sym_eigs(V[lapack] * _PT)[0]
-    return nu_minus, nu_plus, pt_nu_minus, pd
+    spectra = nu_minus, nu_plus, pt_nu_minus
+    exists = symmetric & (det > 0.0) & (nu_plus < np.inf)
+    return spectra if np.all(exists) else tuple(np.where(exists, nu, np.nan) for nu in spectra)
 
 
 def symplectic_eigenvalues(V) -> tuple[np.ndarray, np.ndarray]:
-    """Return ``(nu_minus, nu_plus)``; stacked input gives stacked output."""
+    """Return ``(nu_minus, nu_plus)``, both nan for a matrix that is not symmetric and positive
+    definite; stacked input gives stacked output."""
     V = _as_covmat(V)
     nm, np_ = _spectrum(V, _is_symmetric(V))[:2]
     return (float(nm), float(np_)) if nm.ndim == 0 else (nm, np_)
@@ -159,14 +152,16 @@ class ValidityReport:
 
 
 def _physicality(V: np.ndarray, symmetric=True) -> tuple[np.ndarray, ...]:
-    """``_spectrum`` with ``pd`` replaced by the one physicality rule: nu_minus >= 1/2 - 1e-10
-    on a ``symmetric``, ``pd`` matrix (an indefinite one can have every nu above 1/2)."""
-    nm, np_, pt_nm, pd = _spectrum(V, symmetric)
-    return nm, np_, pt_nm, symmetric & pd & (nm >= 0.5 - PHYSICALITY_TOL)
+    """``_spectrum`` and the one physicality rule: a spectrum exists (V is ``symmetric`` and
+    positive definite; an indefinite V can have every |eigenvalue| of i Omega V above 1/2) and
+    nu_minus >= 1/2 - 1e-10."""
+    spectra = _spectrum(V, symmetric)
+    return *spectra, spectra[0] >= 0.5 - PHYSICALITY_TOL
 
 
 def validate(V) -> ValidityReport:
-    """Check symmetry, positivity and the uncertainty bound nu_minus >= 1/2 - 1e-10."""
+    """Check symmetry, positivity and the uncertainty bound nu_minus >= 1/2 - 1e-10; the
+    spectrum reads nan (JSON null) unless V is symmetric and positive definite."""
     V = _as_covmat(V)
     if V.ndim != 2:
         raise InvalidInput("validate expects a single 4x4 matrix")
@@ -176,16 +171,23 @@ def validate(V) -> ValidityReport:
                           nu_plus=float(np_), physical=bool(physical))
 
 
+def _physical_spectra(V: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``_physicality(V)``, raising PreconditionFailed unless every matrix is physical."""
+    if not np.all(_is_symmetric(V)):
+        raise PreconditionFailed("covariance matrix is not symmetric")
+    spectra = _physicality(V)
+    if not np.all(spectra[3]):
+        raise PreconditionFailed(
+            "covariance matrix violates the uncertainty bound V > 0, nu_minus >= 1/2"
+        )
+    return spectra
+
+
 def require_physical(V) -> np.ndarray:
     """Return ``V`` as an array, raising PreconditionFailed unless every
     matrix in the stack is a physical covariance matrix."""
     V = _as_covmat(V)
-    if not np.all(_is_symmetric(V)):
-        raise PreconditionFailed("covariance matrix is not symmetric")
-    if not np.all(_physicality(V)[3]):
-        raise PreconditionFailed(
-            "covariance matrix violates the uncertainty bound V > 0, nu_minus >= 1/2"
-        )
+    _physical_spectra(V)
     return V
 
 
@@ -202,50 +204,38 @@ def partial_transpose(V) -> np.ndarray:
 
 
 def ppt_nu_minus(V) -> np.ndarray | float:
-    """Smallest symplectic eigenvalue of the partial transpose."""
+    """Smallest symplectic eigenvalue of the partial transpose, nan for a matrix that is not
+    symmetric and positive definite."""
     V = _as_covmat(V)
     nm = _spectrum(V, _is_symmetric(V))[2]
     return float(nm) if nm.ndim == 0 else nm
 
 
-def _pt_invariants(V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``simon_lhs``'s D = det A + det B - 2 det C and det V.  det V = det A det S, S = B -
-    C^T A^-1 C, by two elimination steps and S's 2x2 det, errs on a positive definite V by at
-    most (16 gamma_4 + gamma_3) v00 v11 v22 v33 ~ 34 eps v00 v11 v22 v33 <= 2.1 eps |V|_F^4 to
-    first order: the pivots are exact for V + E, |E_ij| <= gamma_4 (|L||U|)_ij <= gamma_4
-    sqrt(v_ii v_jj) (LU's backward error; V > 0), det(V + E) - det V ~ sum adj(V)_ji E_ij,
-    |adj(V)_ij| sqrt(v_ii v_jj) <= v00 v11 v22 v33 (a unit-diagonal V > 0 has cofactors at
-    most 1), and the product adds gamma_3 det V.  Rows whose A is not positive definite, or
-    whose product overflows, take the Laplace expansion (gamma_8 |V|_F^4, cancelling on
-    squeezed states) instead."""
-    def minor(i, j, k):  # rows i, i + 1 and columns j, k
-        return V[..., i, j] * V[..., i + 1, k] - V[..., i, k] * V[..., i + 1, j]
-
-    d = minor(0, 0, 1) + minor(2, 2, 3) - 2.0 * minor(0, 2, 3)
-    w = [[V[..., i, j] for j in range(4)] for i in range(4)]
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for p, i in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3)):
-            f = w[i][p] / w[p][p]
-            for j in range(p + 1, 4):
-                w[i][j] = w[i][j] - f * w[p][j]
-        det = w[0][0] * w[1][1] * (w[2][2] * w[3][3] - w[2][3] * w[3][2])
-    ok = (w[0][0] > 0.0) & (w[1][1] > 0.0) & np.isfinite(det)
-    if not ok.all():
-        det = np.where(ok, det, (
-            (minor(0, 0, 1) * minor(2, 2, 3) - minor(0, 0, 2) * minor(2, 1, 3))
-            + (minor(0, 0, 3) * minor(2, 1, 2) + minor(0, 1, 2) * minor(2, 0, 3))) + (
-            minor(0, 2, 3) * minor(2, 0, 1) - minor(0, 1, 3) * minor(2, 0, 2)))
-    return d, det
+# the column pairs of the 2x2 minors; minor k's complement in det V is minor 5 - k
+_MINORS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
 
 def simon_lhs(V) -> np.ndarray | float:
-    """Left-hand side 4*(det A + det B - 2 det C) - 16 det V of the determinant-based
-    inseparability test (entangled iff > 1), both terms from ``_pt_invariants``.  The PPT
-    verdict reads ``_spectrum``'s factor instead; the two verdicts differ only near the cut."""
+    """Left-hand side 4 (det A + det B - 2 det C) - 16 det V of the determinant-based
+    inseparability test (entangled iff > 1), correctly rounded.  Each entry is an integer over a
+    common power of two s, so D~ = det A + det B - 2 det C (times s^2) and det V (times s^4,
+    by Laplace over the 2x2 minors of rows 0-1 and 2-3) are exact integers, and one int / int
+    rounds the value; MAX_ENTRY keeps it below 2.6e302, so that cannot overflow.  Python
+    integers, one matrix at a time: about 16 us a matrix (Xeon, Python 3.11), and as much per
+    row of a stack, which no program path passes.  The PPT verdict reads ``_spectrum``'s
+    factor instead; the two verdicts differ only near the cut."""
     V = _as_covmat(V)
-    d, det = _pt_invariants(V)
-    out = 4.0 * d - 16.0 * det
-    return float(out) if out.ndim == 0 else out
+    out = []
+    for row in V.reshape(-1, 16).tolist():
+        ratios = [x.as_integer_ratio() for x in row]
+        s = max(q for _, q in ratios)
+        x = [p * (s // q) for p, q in ratios]
+        r, t = ([x[o + i] * x[o + 4 + j] - x[o + j] * x[o + 4 + i] for i, j in _MINORS]
+                for o in (0, 8))
+        det = r[0] * t[5] - r[1] * t[4] + r[2] * t[3] + r[3] * t[2] - r[4] * t[1] + r[5] * t[0]
+        s2 = s * s
+        out.append((4 * (r[0] + t[5] - 2 * r[5]) * s2 - 16 * det) / (s2 * s2))
+    return out[0] if V.ndim == 2 else np.array(out).reshape(V.shape[:-2])
 
 
 @dataclass(frozen=True)
@@ -264,15 +254,16 @@ def simon_inseparable(V) -> EntanglementVerdict:
     the partial transpose above 1/2 whenever nu_minus is below), so the
     two booleans can only differ by the 1e-10 guard band at the boundary.
     """
-    V = require_physical(V)
+    V = _as_covmat(V)
+    pt_nm = _physical_spectra(V)[2]
     if V.ndim != 2:
         raise InvalidInput("simon_inseparable expects a single 4x4 matrix")
-    return _verdict(V, ppt_nu_minus(V))
+    return _verdict(V, float(pt_nm))
 
 
 def _verdict(V: np.ndarray, nm: float) -> EntanglementVerdict:
     """Both tests on one physical matrix, the PPT test on its partial transpose's nu_minus nm."""
-    lhs = float(simon_lhs(V))
+    lhs = simon_lhs(V)
     return EntanglementVerdict(
         simon_lhs=lhs,
         simon_entangled=lhs > 1.0,

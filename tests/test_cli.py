@@ -23,6 +23,7 @@ import gaussqt.criteria as criteria
 import gaussqt.resources as resources
 import gaussqt.sampling as sampling
 import gaussqt.sweep as sweep
+from gaussqt.errors import PreconditionFailed
 
 VACUUM = 0.5 * np.eye(4)
 
@@ -73,6 +74,12 @@ def test_analyze_unphysical_exits_2(tmp_path, capsys):
     assert code == cli.EXIT_UNPHYSICAL
     assert out.split("\n")[:2] == ["delta_epr,f_epr,det_m,fidelity,entangled,epr,qt,class",
                                    "null,null,null,null,0,0,0,Unphysical"]
+    # -I is not positive definite, so Williamson's theorem gives it no symplectic spectrum
+    core.save_covmat(-np.eye(4), path)
+    code, out, _ = run(capsys, "analyze", str(path))
+    assert code == cli.EXIT_UNPHYSICAL
+    assert json.loads(out)["validity"] == {"symmetric": True, "nu_minus": None,
+                                           "nu_plus": None, "physical": False}
 
 
 def test_analyze_missing_file_exits_5(capsys):
@@ -114,17 +121,21 @@ def test_analyze_out_file(tmp_path, capsys):
     ("json", 1, True), ("csv", 1, True), ("json", 1, False), ("csv", 1, False),
 ], ids=["json-1", "csv-1", "unphysical-json-1", "unphysical-csv-1"])
 def test_analyze_spectrum_budget(tmp_path, capsys, monkeypatch, rng, fmt, budget, physical):
-    # one factorisation, _evaluate's, gives validity, report, label and the PPT test; LAPACK none
+    # one factorisation, _evaluate's, gives validity, report, label and the PPT test, and one,
+    # _physicality's, gives simon_inseparable its physicality check and its PPT test
     path = tmp_path / "state.json"
     V = sampling.random_physical_covmats(rng, 1)[0] if physical else 0.4 * np.eye(4)
     core.save_covmat(V, path)
     calls = []
-    for name, real in (("_spectrum", core._spectrum), ("_sym_eigs", core._sym_eigs)):
-        monkeypatch.setattr(core, name,
-                            lambda *a, f=real, n=name, **k: calls.append(n) or f(*a, **k))
+    monkeypatch.setattr(core, "_spectrum",
+                        lambda *a, f=core._spectrum, **k: calls.append(1) or f(*a, **k))
     code, _, _ = run(capsys, "analyze", str(path), "--format", fmt)
     assert code == (cli.EXIT_OK if physical else cli.EXIT_UNPHYSICAL)
-    assert calls == ["_spectrum"] * budget
+    assert len(calls) == budget
+    calls.clear()
+    with contextlib.nullcontext() if physical else pytest.raises(PreconditionFailed):
+        core.simon_inseparable(V)
+    assert len(calls) == 1
 
 
 def _public_analysis(V):
@@ -460,6 +471,16 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["r_ent"] == json.loads(proc.stdout)["r_qt"]
+
+
+def test_cli_import_loads_no_exact_arithmetic_module():
+    # the CLI's start-up is this import and build_parser(): exact arithmetic is Python's own
+    # int, so neither fractions nor decimal is imported on the way
+    code = ("import sys, gaussqt.cli; gaussqt.cli.build_parser(); "
+            "print(sorted({'fractions', 'decimal'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_analyze_random_states_consistent(tmp_path, capsys, rng):

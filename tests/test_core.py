@@ -3,7 +3,6 @@
 import decimal
 import json
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -75,13 +74,13 @@ def test_asymmetric_is_unphysical():
 
 
 def test_indefinite_is_unphysical():
-    rep = core.validate(-np.eye(4))
-    assert rep.nu_minus == 1.0  # above the vacuum floor, yet not a covariance matrix
-    assert not rep.physical
-    # symplectic pair (1, 1) too; det M is 0 here, so F would divide by zero
-    V = np.array([[0.0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, -1]])
-    rep = core.validate(V)
-    assert rep.nu_minus >= 0.5 and not rep.physical
+    # Williamson's theorem gives a spectrum only to a positive definite matrix; the
+    # |eigenvalues| of i Omega V read (1, 1) on both of these, above the vacuum floor
+    # (det M is 0 on the second, so F would divide by zero)
+    for V in (-np.eye(4), [[0.0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, -1]]):
+        rep = core.validate(V)
+        assert math.isnan(rep.nu_minus) and math.isnan(rep.nu_plus) and not rep.physical
+        assert math.isnan(core.ppt_nu_minus(V))
 
 
 def test_validate_rejects_bad_shapes_and_values():
@@ -268,11 +267,10 @@ def test_separable_samples_read_separable(rng):
 
 def test_simon_lhs_keeps_its_digits_on_strongly_squeezed_tmsts():
     # det V = k1^2 k2^2 from entries of order k e^{2r}, up to 2.4e10 here; a det V
-    # whose error is eps |V|^4 (the Laplace expansion's) moves simon_lhs by up to
-    # 1.3e5 times its value, and flips 93 verdicts.  Against exact rational
-    # arithmetic on the stored matrix, simon_lhs stays within 1.1e-11 (LAPACK's
-    # LU det: 2.9e-11); the stored entries' own rounding puts that exact value up
-    # to 5.8e-11 off the closed form 4 (eta^2 + zeta^2 + 2 c^2) - 16 k1^2 k2^2
+    # whose error is eps |V|^4 (a float Laplace expansion's) moves simon_lhs by up to
+    # 1.3e5 times its value, and flips 93 verdicts.  simon_lhs is the exact value on
+    # the stored matrix, correctly rounded; the stored entries' own rounding puts that
+    # up to 5.8e-11 off the closed form 4 (eta^2 + zeta^2 + 2 c^2) - 16 k1^2 k2^2
     r, k1, k2 = (a.ravel() for a in np.meshgrid(
         np.linspace(0.0, 10.0, 51), [0.5, 1.0, 3.0, 10.0, 30.0, 100.0],
         [0.5, 2.0, 7.0, 30.0, 100.0], indexing="ij"))
@@ -280,19 +278,25 @@ def test_simon_lhs_keeps_its_digits_on_strongly_squeezed_tmsts():
     lhs = core.simon_lhs(V)
     d, det = exact_pt_invariants(V)
     for i, exact in enumerate(4 * d - 16 * det):
-        assert abs(Fraction(lhs[i]) - exact) <= Fraction(1e-10) * abs(exact), (r[i], k1[i], k2[i])
+        assert lhs[i] == float(exact), (r[i], k1[i], k2[i])
     eta, zeta, c = V[:, 0, 0], V[:, 2, 2], V[:, 0, 2]
     closed = 4.0 * (eta**2 + zeta**2 + 2.0 * c**2) - 16.0 * (k1 * k2) ** 2
     assert np.all(np.abs(lhs - closed) <= 2e-10 * np.abs(closed))
-    # e.g. r = 7.6, k1 = k2 = 100 reads physical, so both verdicts are printed
+    # e.g. r = 7.6, k1 = k2 = 100 reads physical, so both verdicts are printed; past r = 8,
+    # rounding stores some of these matrices not positive definite, and they have no
+    # spectrum, no PPT verdict and the label Unphysical
     off = np.abs(r - resources.r_ent_threshold(k1, k2)) > 1e-3
-    assert np.array_equal((lhs > 1.0)[off], (core.ppt_nu_minus(V) < PPT_CUT)[off])
+    nm = core.ppt_nu_minus(V)
+    pd = ~np.isnan(core.symplectic_eigenvalues(V)[1])
+    assert np.array_equal((lhs > 1.0)[off & pd], (nm < PPT_CUT)[off & pd])
+    assert np.array_equal(np.isnan(nm), ~pd) and np.all(r[~pd] > 8.0) and np.mean(pd) > 0.85
+    assert np.all(criteria.classify(V)[1][~pd] == "Unphysical")
     assert core.simon_inseparable(resources.tmst_covmat(7.6, 100.0, 100.0)).simon_entangled
 
 
 def test_simon_lhs_is_the_determinant_formula_on_any_matrix(rng):
-    # rows whose A is not positive definite, or whose elimination overflows (the
-    # last row: a00 = 1e-300 against V_20 = 1e70), take the Laplace det V instead
+    # exact on any matrix: rows whose A is not positive definite, and a last row whose
+    # entries span 370 decades (a00 = 1e-300 against V_20 = 1e70)
     V = rng.normal(size=(4000, 4, 4))
     V[-1] = np.eye(4)
     V[-1, 0, 0], V[-1, 0, 2], V[-1, 2, 0] = 1e-300, 1e70, 1e70
@@ -353,81 +357,87 @@ def ppt_ensembles(rng, n):
 
 
 def test_ppt_verdict_is_exact_off_the_cut(rng):
-    # against exact arithmetic on the stored matrix, wrong verdicts of pd rows lie within a
-    # band of 1.0 eps |V|_F about the cut (0.43 the worst seen; LAPACK's reach 1.5)
+    # against exact arithmetic on the stored matrix, wrong verdicts of rows with a spectrum
+    # lie within a band of 1.0 eps |V|_F about the cut (0.43 the worst seen)
     for name, V in ppt_ensembles(rng, 10_000).items():
-        _, _, nm, pd = core._spectrum(V)
-        wrong = np.flatnonzero(pd & ((nm < PPT_CUT) != exact_ppt_entangled(V)))
+        nm = core._spectrum(V)[2]
+        wrong = np.flatnonzero(~np.isnan(nm) & ((nm < PPT_CUT) != exact_ppt_entangled(V)))
         delta = 1.0 * np.finfo(float).eps * np.linalg.norm(V[wrong], axis=(1, 2))
         assert np.all(exact_ppt_entangled(V[wrong], PPT_CUT - delta)
                       != exact_ppt_entangled(V[wrong], PPT_CUT + delta)), name
         assert np.array_equal(core._spectrum(V.reshape(4, -1, 4, 4))[2],
-                              nm.reshape(4, -1)), name
+                              nm.reshape(4, -1), equal_nan=True), name
 
 
 def test_a_row_alone_gives_the_bits_it_gives_in_its_stack(rng):
     # numpy rounds +, -, *, / and sqrt alike on scalars and arrays, but not x ** 2 (a factor
-    # squaring so fails here); the TMSVs are not pd from r = 9.078
+    # squaring so fails here); TMSVs past r = 9 that are stored not pd read nan alike
+    def same(a, b):
+        return np.array_equal(np.array(a, dtype=float), np.array(b, dtype=float), equal_nan=True)
+
     for name, V in ppt_ensembles(rng, 750).items():
         stack = zip(*core.symplectic_eigenvalues(V), core.ppt_nu_minus(V), *core._physicality(V))
         for i, row in enumerate(stack):
             rep = core.validate(V[i])
             single = (rep.nu_minus, rep.nu_plus, core.ppt_nu_minus(V[i]),
                       *core._physicality(V[i])[:3], rep.physical)
-            assert single == row and core.symplectic_eigenvalues(V[i]) == row[:2], (name, i)
+            assert same(single, row) and same(core.symplectic_eigenvalues(V[i]), row[:2]), (
+                name, i)
 
 
-def test_closed_form_ppt_verdict_falls_back_on_exactly_the_uncleared_rows(rng, monkeypatch):
-    # the factor's closed form nu_- = det L / nu_+ leaves LAPACK only the rows it cannot
-    # take: rows 32-33 are asymmetric, and 34-37 not positive definite: -I, a zero pivot,
-    # an indefinite matrix and a pure TMSV at r = 9.078
+def test_spectra_are_nan_on_exactly_the_rows_without_one(rng):
+    # Williamson's theorem gives a spectrum only to a symmetric positive definite matrix:
+    # rows 32-33 are asymmetric, and 34-37 not positive definite: -I, a zero pivot, an
+    # indefinite matrix and a pure TMSV at r = 9.078, which rounding stores not pd
     tmsv = resources.tmst_covmat(4.77 + 0.001 * np.arange(4230), 0.5, 0.5)
     ordinary = np.concatenate([sampling.random_physical_covmats(rng, 64), tmsv])
     V = np.concatenate([ordinary[:34], [-np.eye(4), np.diag([1.0, 1.0, 1.0, 0.0]),
                         [[0.0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, -1]],
                         resources.tmst_covmat(9.078, 0.5, 0.5)], ordinary[32:]])
     V[32:34, 0, 1] += 1e-6
-    calls = []
-    monkeypatch.setattr(core, "_sym_eigs", lambda W, f=core._sym_eigs: calls.append(W) or f(W))
-    # each run sends those rows once for each spectrum; the verdict path's rows are known
-    # to be symmetric, so only its non-pd rows go
-    for run, first in ((core.symplectic_eigenvalues, 32), (core.ppt_nu_minus, 32),
+    # the verdict path's rows are known to be symmetric, and its factor reads the lower
+    # triangle, so only its non-pd rows have no spectrum
+    for run, first in ((lambda V: (*core.symplectic_eigenvalues(V), core.ppt_nu_minus(V)), 32),
                        (lambda V: core._physicality(V, core._is_symmetric(V)), 32),
                        (core._physicality, 34), (core._spectrum, 34)):
-        calls.clear()
-        run(V)
-        assert len(calls) == 2 and np.array_equal(calls[0], V[first:38])
-        assert np.array_equal(calls[1] * core._PT, V[first:38])
+        out = run(V)
+        for nu in out[:3]:
+            assert np.array_equal(np.isnan(nu), np.isin(np.arange(len(V)), range(first, 38)))
+        assert len(out) == 3 or not out[3][first:38].any()
 
 
-def test_squeezed_vacua_keep_the_closed_form_verdict(monkeypatch):
-    # no pure TMSV of a 0.001 grid over [4.77, 9) reaches LAPACK (the bounded closed form
-    # this factor replaced sent 1,285 of the rows in [4.77, 9.1) there)
+def test_squeezed_vacua_keep_the_closed_form_verdict():
+    # every pure TMSV of a 0.001 grid over [4.77, 9) has its spectrum and reads entangled
     V = resources.tmst_covmat(4.77 + 0.001 * np.arange(4230), 0.5, 0.5)
-    calls = []
-    monkeypatch.setattr(core, "_sym_eigs", lambda W, f=core._sym_eigs: calls.append(W) or f(W))
-    _, _, nm, pd = core._spectrum(V)
-    assert np.all(nm < PPT_CUT) and pd.all() and calls == []
+    nm, npl, pt_nm = core._spectrum(V)
+    assert np.all(pt_nm < PPT_CUT) and np.all(nm <= npl) and np.all(npl < np.inf)
 
 
-def test_no_label_reads_lapack(rng, monkeypatch):
-    # LAPACK takes only rows that are not positive definite (or asymmetric), and those fail
-    # the physicality rule, so its spectra reach no label: the TMSVs are not pd from r = 9.078
+def test_no_label_reads_a_missing_spectrum(rng):
+    # a row without a spectrum is Unphysical with every flag False, in the kernel and in
+    # classify, and every other row's label is the kernel's: rounding stores the TMSVs
+    # singular or indefinite at many points from r = 9.27 on
     stacks = {"TMSV r <= 20": resources.tmst_covmat(0.01 * np.arange(2001), 0.5, 0.5),
               **ppt_ensembles(rng, 1000)}
-    want = {name: (criteria._evaluate(V)[1]["class"], criteria.classify(V)[1])
-            for name, V in stacks.items()}
-    monkeypatch.setattr(core, "_sym_eigs", lambda W: (np.full(len(W), 0.1),) * 2)
     for name, V in stacks.items():
-        assert np.array_equal(criteria._evaluate(V)[1]["class"], want[name][0]), name
-        assert np.array_equal(criteria.classify(V)[1], want[name][1]), name
+        (nm, npl, pt_nm, physical), row = criteria._evaluate(V)
+        missing = np.isnan(npl)
+        assert np.array_equal(np.isnan(nm), missing) and np.array_equal(np.isnan(pt_nm), missing)
+        assert not physical[missing].any(), name
+        assert np.all(criteria.LABELS[row["class"][missing]] == "Unphysical"), name
+        assert not (row["entangled"] | row["epr"] | row["qt"])[missing].any(), name
+        assert np.array_equal(criteria.classify(V)[1], criteria.LABELS[row["class"]]), name
+    tmsv_missing = np.isnan(core._spectrum(stacks["TMSV r <= 20"])[1])
+    assert not tmsv_missing[:900].any() and tmsv_missing.sum() > 600  # 672, from r = 9.27
 
 
-def test_elimination_det_stays_within_its_bound(rng):
-    # the bound _pt_invariants states on positive definite rows (those the factor takes):
-    # |fl(det V) - det V| <= (16 gamma_4 + gamma_3) v00 v11 v22 v33 <= 2.1 eps |V|_F^4
-    u = Fraction(2) ** -53
-    gamma = [k * u / (1 - k * u) for k in range(5)]
+def test_simon_lhs_is_correctly_rounded(rng):
+    # simon_lhs is 4 D~ - 16 det V of the stored matrix rounded once, D~ = det A + det B
+    # - 2 det C, against the exact rationals on physical stacks, on signed matrices whose
+    # entries span twelve decades, and on entries of +-MAX_ENTRY, where |4 D~ - 16 det V|
+    # stays below 2.6e302 and the rounding raises no OverflowError (the Hadamard matrix
+    # has the largest |det V| of them, 16 MAX_ENTRY^4)
+    hadamard = np.array([[1.0, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]])
     n = 400
     r, k1, k2 = (a.ravel() for a in np.meshgrid(
         np.linspace(0.0, 10.0, 21), [0.5, 3.0, 100.0], [0.5, 7.0, 100.0], indexing="ij"))
@@ -438,20 +448,17 @@ def test_elimination_det_stays_within_its_bound(rng):
         "TMST r <= 10, k <= 100": resources.tmst_covmat(r, k1, k2),
         "bs": resources.bs_covmat(rng.uniform(0.0, 6.0, n), 10.0 ** rng.uniform(
             math.log10(0.5), 2.0, n), rng.uniform(0.01, 0.99, n)),
+        "signed": rng.normal(size=(4000, 4, 4)) * 10.0 ** rng.uniform(-6.0, 6.0, (4000, 4, 4)),
+        "+-MAX_ENTRY": core.MAX_ENTRY * np.concatenate([
+            [hadamard, -hadamard, np.ones((4, 4))], rng.choice([-1.0, 1.0], (200, 4, 4))]),
     }
     for name, V in stacks.items():
-        d, det = core._pt_invariants(V)
-        pd = core._spectrum(V)[3]
-        A, B, C = V[:, :2, :2], V[:, 2:, 2:], V[:, :2, 2:]
-        assert np.array_equal(d, core._det2(A) + core._det2(B) - 2.0 * core._det2(C)), name
-        # the factor certifies the TMSV stack up to r ~ 9
-        assert np.mean(pd) > 0.5, name
-        for i in np.flatnonzero(pd):
-            err = abs(Fraction(det[i]) - exact_pt_invariants(V[i])[1])
-            diag = math.prod(Fraction(V[i, k, k]) for k in range(4))
-            norm4 = sum(Fraction(x) ** 2 for x in V[i].ravel().tolist()) ** 2
-            assert err <= (16 * gamma[4] + gamma[3]) * diag <= Fraction(4.2) * u * norm4, (
-                name, i)
+        d, det = exact_pt_invariants(V)
+        want = [float(x) for x in 4 * d - 16 * det]
+        lhs = core.simon_lhs(V)
+        assert np.array_equal(lhs, want) and np.all(np.isfinite(lhs)), name
+        assert core.simon_lhs(V[1]) == want[1], name
+    assert abs(core.simon_lhs(core.MAX_ENTRY * hadamard)) > 1e302
 
 
 # -------------------------------------------------------- canonical form
@@ -796,8 +803,12 @@ def test_validate_total_on_symmetric_matrices(entries):
     V = V + np.triu(V, 1).T
     rep = core.validate(V)
     assert rep.symmetric
-    assert rep.nu_minus >= 0.0
-    assert rep.nu_plus >= rep.nu_minus
+    # a spectrum exactly on the positive definite matrices, whose factor takes them
+    lowest = np.linalg.eigvalsh(V)[0]
+    if math.isnan(rep.nu_plus):
+        assert math.isnan(rep.nu_minus) and not rep.physical and lowest < 1e-10
+    else:
+        assert rep.nu_plus >= rep.nu_minus >= 0.0 and lowest > -1e-10
     if rep.physical:
         core.require_physical(V)
     else:

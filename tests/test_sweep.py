@@ -265,12 +265,13 @@ def test_text_matches_the_reference_writer(monkeypatch, chunk, family, fmt, step
 
 
 def test_run_sweep_takes_no_spectrum_on_an_ordinary_grid(monkeypatch):
-    calls = []
-    real = core._sym_eigs
-    monkeypatch.setattr(core, "_sym_eigs", lambda V: calls.append(len(V)) or real(V))
+    # no row goes without a spectrum: the factor takes every one, one chunk at a time
+    spectra = []
+    real = core._spectrum
+    monkeypatch.setattr(core, "_spectrum", lambda *a: spectra.append(real(*a)) or spectra[-1])
     monkeypatch.setattr(sweep, "_CHUNK", 4)
     grid = columns(tiny_tmst(3, 5))
-    assert calls == []
+    assert len(spectra) == 4 and not np.isnan(np.concatenate(sum(spectra, ()))).any()
     assert grid["axis1"].size == 15
 
 
