@@ -72,7 +72,7 @@ def _emit(text: str, out: str | None) -> None:
 def _print_analysis(V, args) -> int:
     # one kernel call gives every field but the canonical form and simon_lhs
     symmetric = core._is_symmetric(core._as_covmat(V))  # entries past MAX_ENTRY exit 3
-    (nm, np_, pt_nm, physical), row = criteria._evaluate(V, symmetric)
+    (nm, np_, pt_nm, physical, entangled), row = criteria._evaluate(V, symmetric)
     validity = core.ValidityReport(bool(symmetric), float(nm), float(np_), bool(physical))
     if args.format == "csv":
         text = core.record_csv({**row, "class": criteria.LABELS[row["class"]]})
@@ -83,7 +83,8 @@ def _print_analysis(V, args) -> int:
             "classification": label.value,
             "report": vars(report),
             "canonical": vars(core._canonical(V)[0]) if validity.physical else None,
-            "entanglement": vars(core._verdict(V, float(pt_nm))) if validity.physical else None,
+            "entanglement": (vars(core._verdict(V, float(pt_nm), bool(entangled)))
+                             if validity.physical else None),
         }
         lines = (f'  "{k}": {core.json_token(v)}' for k, v in fields.items())
         text = "{\n" + ",\n".join(lines) + "\n}"

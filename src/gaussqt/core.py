@@ -94,17 +94,20 @@ def blocks(V) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return V[..., :2, :2], V[..., 2:, 2:], V[..., :2, 2:]
 
 
-def _spectrum(V: np.ndarray, symmetric=True) -> tuple[np.ndarray, ...]:
-    """``(nu_minus, nu_plus, pt_nu_minus)`` from one factor V = L L^T: V's symplectic pair and its
-    partial transpose's nu_minus.  K = L^T Omega L has eigenvalues +-i nu: with p = (K01 + K23,
-    K02 - K13, K03 + K12) and m = (K01 - K23, K02 + K13, K03 - K12), nu_plus = (|p| + |m|) / 2
-    and nu_minus = det L / nu_plus (det L = Pf K, capped at nu_plus, which it passes by rounding
-    at a double eigenvalue), with no cancellation.  K01 = l00 l11 + b; Omega~ = J (+) -J flips
-    mode b's terms, b and K23.  Williamson's theorem gives a spectrum only to a positive definite
-    V, so all three read nan on rows that are not ``symmetric`` (the factor reads the lower
-    triangle) or not pd: a pivot <= 0 or a non-finite nu_plus.  Only +, -, *, / and sqrt touch
-    the entries (np.square is x * x; x ** 2 on a numpy scalar is not), so a row gives the same
-    bits alone as in a stack."""
+def _spectrum(V: np.ndarray, valid=True) -> tuple[np.ndarray, ...]:
+    """``(nu_minus, nu_plus, pt_nu_minus, physical, entangled)`` from one factor V = L L^T: V's
+    symplectic pair, its partial transpose's nu_minus and the two verdicts, each written only
+    here.  K = L^T Omega L has eigenvalues +-i nu: with p = (K01 + K23, K02 - K13, K03 + K12) and
+    m = (K01 - K23, K02 + K13, K03 - K12), nu_plus = (|p| + |m|) / 2 and nu_minus = det L /
+    nu_plus (det L = Pf K, capped at nu_plus, which it passes by rounding at a double
+    eigenvalue), with no cancellation.  K01 = l00 l11 + b; Omega~ = J (+) -J flips mode b's
+    terms, b and K23.  Williamson's theorem gives a spectrum only to a positive definite V, so
+    all three read nan on rows that are not ``valid`` (symmetric at least: the factor reads the
+    lower triangle) or not pd: a pivot <= 0 or a non-finite nu_plus.  V is physical iff
+    nu_minus >= 1/2 - 1e-10, which nan fails (an indefinite V can have every |eigenvalue| of
+    i Omega V above 1/2), and entangled iff physical and pt_nu_minus < 1/2 - 1e-10 (the PPT
+    test).  Only +, -, *, / and sqrt touch the entries (np.square is x * x; x ** 2 on a numpy
+    scalar is not), so a row gives the same bits alone as in a stack."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         l00 = np.sqrt(V[..., 0, 0])
         l10, l20, l30 = V[..., 1, 0] / l00, V[..., 2, 0] / l00, V[..., 3, 0] / l00
@@ -131,8 +134,12 @@ def _spectrum(V: np.ndarray, symmetric=True) -> tuple[np.ndarray, ...]:
         nu_minus, nu_plus = pair(a + b, k23)
         pt_nu_minus = pair(a - b, -k23)[0]
     spectra = nu_minus, nu_plus, pt_nu_minus
-    exists = symmetric & (det > 0.0) & (nu_plus < np.inf)
-    return spectra if np.all(exists) else tuple(np.where(exists, nu, np.nan) for nu in spectra)
+    exists = valid & (det > 0.0) & (nu_plus < np.inf)
+    if not np.all(exists):
+        spectra = tuple(np.where(exists, nu, np.nan) for nu in spectra)
+    cut = 0.5 - PHYSICALITY_TOL
+    physical = spectra[0] >= cut
+    return *spectra, physical, physical & (spectra[2] < cut)
 
 
 def symplectic_eigenvalues(V) -> tuple[np.ndarray, np.ndarray]:
@@ -151,14 +158,6 @@ class ValidityReport:
     physical: bool
 
 
-def _physicality(V: np.ndarray, symmetric=True) -> tuple[np.ndarray, ...]:
-    """``_spectrum`` and the one physicality rule: a spectrum exists (V is ``symmetric`` and
-    positive definite; an indefinite V can have every |eigenvalue| of i Omega V above 1/2) and
-    nu_minus >= 1/2 - 1e-10."""
-    spectra = _spectrum(V, symmetric)
-    return *spectra, spectra[0] >= 0.5 - PHYSICALITY_TOL
-
-
 def validate(V) -> ValidityReport:
     """Check symmetry, positivity and the uncertainty bound nu_minus >= 1/2 - 1e-10; the
     spectrum reads nan (JSON null) unless V is symmetric and positive definite."""
@@ -166,16 +165,16 @@ def validate(V) -> ValidityReport:
     if V.ndim != 2:
         raise InvalidInput("validate expects a single 4x4 matrix")
     symmetric = _is_symmetric(V)
-    nm, np_, _, physical = _physicality(V, symmetric)
+    nm, np_, _, physical, _ = _spectrum(V, symmetric)
     return ValidityReport(symmetric=bool(symmetric), nu_minus=float(nm),
                           nu_plus=float(np_), physical=bool(physical))
 
 
 def _physical_spectra(V: np.ndarray) -> tuple[np.ndarray, ...]:
-    """``_physicality(V)``, raising PreconditionFailed unless every matrix is physical."""
+    """``_spectrum(V)``, raising PreconditionFailed unless every matrix is physical."""
     if not np.all(_is_symmetric(V)):
         raise PreconditionFailed("covariance matrix is not symmetric")
-    spectra = _physicality(V)
+    spectra = _spectrum(V)
     if not np.all(spectra[3]):
         raise PreconditionFailed(
             "covariance matrix violates the uncertainty bound V > 0, nu_minus >= 1/2"
@@ -255,20 +254,21 @@ def simon_inseparable(V) -> EntanglementVerdict:
     two booleans can only differ by the 1e-10 guard band at the boundary.
     """
     V = _as_covmat(V)
-    pt_nm = _physical_spectra(V)[2]
+    *_, pt_nm, _, entangled = _physical_spectra(V)
     if V.ndim != 2:
         raise InvalidInput("simon_inseparable expects a single 4x4 matrix")
-    return _verdict(V, float(pt_nm))
+    return _verdict(V, float(pt_nm), bool(entangled))
 
 
-def _verdict(V: np.ndarray, nm: float) -> EntanglementVerdict:
-    """Both tests on one physical matrix, the PPT test on its partial transpose's nu_minus nm."""
+def _verdict(V: np.ndarray, nm: float, entangled: bool) -> EntanglementVerdict:
+    """Both tests on one physical matrix: the determinant form here, and ``_spectrum``'s PPT
+    verdict ``entangled`` on its partial transpose's nu_minus nm."""
     lhs = simon_lhs(V)
     return EntanglementVerdict(
         simon_lhs=lhs,
         simon_entangled=lhs > 1.0,
         ppt_nu_minus=nm,
-        ppt_entangled=nm < 0.5 - PHYSICALITY_TOL,
+        ppt_entangled=entangled,
     )
 
 

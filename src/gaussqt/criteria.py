@@ -17,12 +17,13 @@ tolerance band; raw values are always reported so consumers can apply
 their own thresholds.
 
 ``_evaluate`` is the one evaluation path: from one Cholesky factor per
-matrix it gives ``core._physicality``'s spectra and verdict and the output
-row, a dict of column arrays keyed by output name in output order, and is
-the only place the physicality rule is applied to a label and the label
-precedence is written.  ``classify`` (one state or a stack),
-``sweep.run_sweep`` (one call per chunk) and the CLI's ``analyze`` and
-``state`` (one call per matrix, whose spectra they print) are views over it.
+matrix, ``core._spectrum``, it gives the spectra, the physicality and PPT
+verdicts (both written only there) and the output row, a dict of column
+arrays keyed by output name in output order, and is the only place the
+label precedence is written.  ``classify`` (one kernel call over a state or
+a stack as given), ``sweep.run_sweep`` (one call per chunk) and the CLI's
+``analyze`` and ``state`` (one call per matrix, whose spectra they print)
+are views over it.
 """
 
 from __future__ import annotations
@@ -208,13 +209,14 @@ _PRECEDENCE = [_CODE[c] for c in (Classification.UNPHYSICAL, Classification.SEPA
                                   Classification.ENTANGLED_NO_QT)]
 
 
-def _evaluate(V: np.ndarray, symmetric=True) -> tuple[tuple, dict]:
-    """``core._physicality(V, symmetric)`` and the output row of a (..., 4, 4) stack, columns in
-    output order (``class`` as codes into LABELS); unphysical rows read nan, False, Unphysical."""
-    spectra = core._physicality(V, symmetric)
-    pt_nu_minus, physical = spectra[2:]
-    entangled = physical & (pt_nu_minus < 0.5 - core.PHYSICALITY_TOL)
-    delta, det_m = _delta_raw(V), _det_m(V)
+def _evaluate(V: np.ndarray, valid=True) -> tuple[tuple, dict]:
+    """``core._spectrum(V, valid)`` and the output row of a (..., 4, 4) stack, columns in output
+    order (``class`` as codes into LABELS); unphysical rows read nan, False, Unphysical.  Any
+    entries are accepted: rows that are not ``valid`` are not physical, whatever they hold."""
+    spectra = core._spectrum(V, valid)
+    physical, entangled = spectra[3:]
+    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf and overflow, unphysical rows
+        delta, det_m = _delta_raw(V), _det_m(V)
     if not physical.all():  # nan before _fidelity, so no unphysical row warns
         delta, det_m = np.where(physical, delta, np.nan), np.where(physical, det_m, np.nan)
     epr = delta < 2.0
@@ -258,14 +260,9 @@ def classify(V):
     if V.ndim < 2 or V.shape[-2:] != (4, 4):
         return _report(_UNPHYSICAL_ROW)
 
-    flat = V.reshape(-1, 4, 4)
-    taken = np.all(np.abs(flat) <= core.MAX_ENTRY, axis=(1, 2))
-    taken[taken] = core._is_symmetric(flat[taken])
-    row = {}
-    for name, col in _evaluate(flat[taken])[1].items():
-        out = np.full(taken.shape, _UNPHYSICAL_ROW[name], dtype=col.dtype)
-        out[taken] = col
-        row[name] = out.reshape(V.shape[:-2])
+    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf and overflow in V - V^T
+        valid = np.all(np.abs(V) <= core.MAX_ENTRY, axis=(-2, -1)) & core._is_symmetric(V)
+    row = _evaluate(V, valid)[1]
     if V.ndim == 2:
         return _report(row)
     *values, codes = row.values()

@@ -24,7 +24,6 @@ and ``BsSpec``/``bs_resource`` wrap them for callers holding a spec object
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,11 +103,6 @@ class BsSpec:
         _check_r(self.r)
         _check_k(self.k)
         _check_T(self.T)
-
-    @property
-    def nonclassical_input(self) -> bool:
-        """True when the input beam is quadrature squeezed: r > ln(2k)/2."""
-        return self.r > 0.5 * math.log(2.0 * self.k)
 
 
 @np.errstate(over="ignore", invalid="ignore")

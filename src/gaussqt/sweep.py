@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 import os
-import secrets
 from dataclasses import dataclass
 
 import numpy as np
@@ -167,7 +166,7 @@ def write(config: SweepConfig, path, fmt: str) -> None:
             fh.writelines(text(config, fmt))
         return
     head, tail = os.path.split(os.path.realpath(path))
-    tmp = os.path.join(head, f".{tail}.{secrets.token_hex(8)}.tmp")
+    tmp = os.path.join(head, f".{tail}.{os.urandom(8).hex()}.tmp")
     try:
         fh = open(tmp, "x", encoding="utf-8", newline="")
     except OSError as exc:  # name the path asked for, not the temporary file

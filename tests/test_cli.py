@@ -122,7 +122,7 @@ def test_analyze_out_file(tmp_path, capsys):
 ], ids=["json-1", "csv-1", "unphysical-json-1", "unphysical-csv-1"])
 def test_analyze_spectrum_budget(tmp_path, capsys, monkeypatch, rng, fmt, budget, physical):
     # one factorisation, _evaluate's, gives validity, report, label and the PPT test, and one,
-    # _physicality's, gives simon_inseparable its physicality check and its PPT test
+    # _physical_spectra's, gives simon_inseparable its physicality check and its PPT test
     path = tmp_path / "state.json"
     V = sampling.random_physical_covmats(rng, 1)[0] if physical else 0.4 * np.eye(4)
     core.save_covmat(V, path)
@@ -473,11 +473,12 @@ def test_module_entry_point():
     assert json.loads(proc.stdout)["r_ent"] == json.loads(proc.stdout)["r_qt"]
 
 
-def test_cli_import_loads_no_exact_arithmetic_module():
+def test_cli_import_loads_no_exact_arithmetic_or_hashing_module():
     # the CLI's start-up is this import and build_parser(): exact arithmetic is Python's own
-    # int, so neither fractions nor decimal is imported on the way
-    code = ("import sys, gaussqt.cli; gaussqt.cli.build_parser(); "
-            "print(sorted({'fractions', 'decimal'} & set(sys.modules)))")
+    # int, so neither fractions nor decimal is imported on the way, and the sweep writer names
+    # its temporary file from os.urandom, so neither are secrets and hashlib
+    code = ("import sys, gaussqt.cli; gaussqt.cli.build_parser(); print(sorted("
+            "{'fractions', 'decimal', 'secrets', 'hashlib'} & set(sys.modules)))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"

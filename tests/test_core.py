@@ -376,11 +376,11 @@ def test_a_row_alone_gives_the_bits_it_gives_in_its_stack(rng):
         return np.array_equal(np.array(a, dtype=float), np.array(b, dtype=float), equal_nan=True)
 
     for name, V in ppt_ensembles(rng, 750).items():
-        stack = zip(*core.symplectic_eigenvalues(V), core.ppt_nu_minus(V), *core._physicality(V))
+        stack = zip(*core.symplectic_eigenvalues(V), core.ppt_nu_minus(V), *core._spectrum(V))
         for i, row in enumerate(stack):
-            rep = core.validate(V[i])
+            rep, one = core.validate(V[i]), core._spectrum(V[i])
             single = (rep.nu_minus, rep.nu_plus, core.ppt_nu_minus(V[i]),
-                      *core._physicality(V[i])[:3], rep.physical)
+                      *one[:3], rep.physical, one[4])
             assert same(single, row) and same(core.symplectic_eigenvalues(V[i]), row[:2]), (
                 name, i)
 
@@ -398,18 +398,18 @@ def test_spectra_are_nan_on_exactly_the_rows_without_one(rng):
     # the verdict path's rows are known to be symmetric, and its factor reads the lower
     # triangle, so only its non-pd rows have no spectrum
     for run, first in ((lambda V: (*core.symplectic_eigenvalues(V), core.ppt_nu_minus(V)), 32),
-                       (lambda V: core._physicality(V, core._is_symmetric(V)), 32),
-                       (core._physicality, 34), (core._spectrum, 34)):
+                       (lambda V: core._spectrum(V, core._is_symmetric(V)), 32),
+                       (core._spectrum, 34)):
         out = run(V)
         for nu in out[:3]:
             assert np.array_equal(np.isnan(nu), np.isin(np.arange(len(V)), range(first, 38)))
-        assert len(out) == 3 or not out[3][first:38].any()
+        assert len(out) == 3 or not (out[3] | out[4])[first:38].any()
 
 
 def test_squeezed_vacua_keep_the_closed_form_verdict():
     # every pure TMSV of a 0.001 grid over [4.77, 9) has its spectrum and reads entangled
     V = resources.tmst_covmat(4.77 + 0.001 * np.arange(4230), 0.5, 0.5)
-    nm, npl, pt_nm = core._spectrum(V)
+    nm, npl, pt_nm, _, _ = core._spectrum(V)
     assert np.all(pt_nm < PPT_CUT) and np.all(nm <= npl) and np.all(npl < np.inf)
 
 
@@ -420,7 +420,7 @@ def test_no_label_reads_a_missing_spectrum(rng):
     stacks = {"TMSV r <= 20": resources.tmst_covmat(0.01 * np.arange(2001), 0.5, 0.5),
               **ppt_ensembles(rng, 1000)}
     for name, V in stacks.items():
-        (nm, npl, pt_nm, physical), row = criteria._evaluate(V)
+        (nm, npl, pt_nm, physical, _), row = criteria._evaluate(V)
         missing = np.isnan(npl)
         assert np.array_equal(np.isnan(nm), missing) and np.array_equal(np.isnan(pt_nm), missing)
         assert not physical[missing].any(), name

@@ -307,17 +307,23 @@ def test_classify_out_of_range_and_indefinite_are_unphysical():
 def test_classify_stack_matches_per_row(rng):
     asymmetric = sampling.random_physical_covmats(rng, 6)
     asymmetric[:, 1, 2] += 1e-3
-    nonfinite = sampling.random_physical_covmats(rng, 2)
-    nonfinite[:, 0, 0] = np.nan
+    nonfinite = sampling.random_physical_covmats(rng, 5)
+    nonfinite[:2, 0, 0] = np.nan
+    nonfinite[2, 1, 3] = nonfinite[2, 3, 1] = np.inf
+    nonfinite[3, 0, 2], nonfinite[3, 2, 0] = -np.inf, np.inf  # inf - inf in the symmetry test
+    nonfinite[4, 2, 2] = -np.inf
+    huge = np.stack([1e100 * sampling.random_physical_covmats(rng, 1)[0],  # beyond MAX_ENTRY
+                     np.diag([1e308, 1e308, 1.0, 1.0])])  # Delta and det M overflow
     stack = np.concatenate([
         sampling.random_physical_covmats(rng, 30),
         sampling.random_separable_covmats(rng, 12),
         0.2 * sampling.random_physical_covmats(rng, 10),  # mostly below the bound
         asymmetric,
         nonfinite,
-    ])[rng.permutation(60)]
+        huge,
+    ])[rng.permutation(65)]
     rep, labels = criteria.classify(stack)
-    assert labels.shape == (60,)
+    assert labels.shape == (65,)
     assert {"Unphysical", "Separable"} <= set(labels.tolist())
     for i, V in enumerate(stack):
         one, label = criteria.classify(V)
@@ -325,21 +331,23 @@ def test_classify_stack_matches_per_row(rng):
         for f in dataclasses.fields(one):
             got, want = getattr(rep, f.name)[i], getattr(one, f.name)
             assert got == want or (math.isnan(got) and math.isnan(want)), (i, f.name)
-    rep2, labels2 = criteria.classify(stack.reshape(3, 20, 4, 4))
-    assert labels2.shape == (3, 20)
+    rep2, labels2 = criteria.classify(stack.reshape(5, 13, 4, 4))
+    assert labels2.shape == (5, 13)
     assert np.array_equal(labels2.ravel(), labels)
     assert np.array_equal(rep2.det_m.ravel(), rep.det_m, equal_nan=True)
 
 
 def test_classify_factors_each_row_once(rng, monkeypatch):
-    # one factor gives both the physicality rule and the PPT verdict
+    # one factor gives both the physicality rule and the PPT verdict, in one kernel call over
+    # the stack as given: asymmetric rows reach it too, marked not valid
     calls = []
     monkeypatch.setattr(core, "_spectrum",
-                        lambda V, *a, f=core._spectrum: calls.append(len(V)) or f(V, *a))
+                        lambda V, *a, f=core._spectrum: calls.append(V[..., 0, 0].size) or f(V, *a))
     stack = sampling.random_physical_covmats(rng, 50)
-    stack[:10, 1, 2] += 1e-3  # asymmetric rows are masked before the kernel
-    criteria.classify(stack)
-    assert calls == [40]
+    stack[:10, 1, 2] += 1e-3
+    _, labels = criteria.classify(stack)
+    assert calls == [50]
+    assert np.all(labels[:10] == "Unphysical")
     calls.clear()
     criteria.classify(VACUUM)
     assert calls == [1]

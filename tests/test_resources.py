@@ -45,8 +45,6 @@ def test_spec_validation():
         resources.BsSpec(0.5, 1.0, 1.0)
     with pytest.raises(InvalidInput):
         resources.BsSpec(-0.2, 1.0, 0.5)
-    assert resources.BsSpec(0.5, 0.5, 0.5).nonclassical_input
-    assert not resources.BsSpec(0.1, 1.0, 0.5).nonclassical_input
 
 
 @pytest.mark.parametrize("T", [0, 1, math.nan, math.inf, "a"])
