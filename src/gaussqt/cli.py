@@ -229,8 +229,8 @@ def build_parser() -> _Parser:
     for q in (pt, pb):
         q.add_argument("--radius", type=float, default=6.0,
                        help="integration truncation radius (default 6)")
-        q.add_argument("--points", type=int, default=401,
-                       help="grid points per axis (default 401)")
+        q.add_argument("--points", type=int, default=None,
+                       help="grid points per axis (default: sized per state, at most 401)")
         _add_common(q)
         q.set_defaults(func=_cmd_oracle)
 

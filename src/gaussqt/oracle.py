@@ -18,8 +18,9 @@ With zero first moments chi is real and positive, so the accumulated
 imaginary part is identically zero and the integrand is the smooth
 Gaussian exp(-|lambda|^2 - u^T V u / 2); since V >= i Omega/2 implies
 |chi| <= 1, truncating to the square [-R, R]^2 leaves a tail of at most
-1 - erf(R)^2, which is folded into the error estimate alongside the
-two-resolution Richardson difference.
+1 - erf(R)^2.  The error estimate adds it to an a-priori aliasing bound
+that reads only tr Q, never det M; the same bound sizes the default grid
+per state.
 
 ``_integrate`` sums u^T V u from broadcast 1-D factors, one term
 (u_i V_ij) u_j at a time, i outer and j inner: einsum's order, so the bits
@@ -56,19 +57,24 @@ _SQRT2 = math.sqrt(2.0)
 class QuadratureSpec:
     """Truncation radius and per-axis point count of the midpoint rule, odd so
     that a node sits on the integrand's peak at 0; the points_per_axis^2 nodes
-    share the sweep's MAX_GRID_POINTS budget."""
+    share the sweep's MAX_GRID_POINTS budget.  None, the default, takes the
+    smallest odd n >= 51, at most 401, whose aliasing bound (1 + 2q/(1 - q))^2 - 1
+    is <= 1e-12, where q = exp(-pi^2 / (tr Q h^2)), h = 2 radius / n and the
+    integrand is exp(-x^T Q x) in x = (Re l, Im l): Poisson summation and
+    lambda_max(Q) <= tr Q (Q >= I) bound the lattice's alias terms by q^|m|^2.
+    Rounding (~1e-14) is not included."""
 
     radius: float = 6.0
-    points_per_axis: int = 401
+    points_per_axis: int | None = None
 
     def __post_init__(self):
         if not (isinstance(self.radius, (int, float)) and math.isfinite(self.radius)
                 and self.radius > 0):
             raise InvalidInput("radius must be a positive finite number")
         n = self.points_per_axis
-        if not (isinstance(n, int) and n >= 51 and n % 2):
+        if n is not None and not (isinstance(n, int) and n >= 51 and n % 2):
             raise InvalidInput("points_per_axis must be an odd integer >= 51")
-        if n * n > MAX_GRID_POINTS:
+        if n is not None and n * n > MAX_GRID_POINTS:
             raise GridSizeError(f"quadrature grid of {n * n} points exceeds the "
                                 f"{MAX_GRID_POINTS} point budget")
 
@@ -128,13 +134,21 @@ def _integrate(V: np.ndarray, radius: float, n: int) -> float:
         return float(np.sum(integrand * (h * h))) / math.pi
 
 
+def _aliasing_bound(trace_q: float, radius: float, n: int) -> float:
+    """(1 + 2q/(1 - q))^2 - 1 = 4q/(1 - q)^2 for the n-point rule; inf once q rounds to 1."""
+    w = math.pi * n / (2.0 * radius)  # pi / h; a product overflows to inf, a power raises
+    q = math.exp(-w * w / trace_q)
+    return 4.0 * q / ((1.0 - q) * (1.0 - q)) if q < 1.0 else math.inf
+
+
 def fidelity_by_quadrature(V, spec: QuadratureSpec = DEFAULT_SPEC) -> QuadratureResult:
     """Teleportation fidelity by numerical integration.
 
-    Returns (value, est_error, warn).  est_error is the difference
-    against a half-resolution grid plus the rigorous truncation tail
-    1 - erf(radius)^2; when it exceeds 1e-3 a QuadratureWarning is
-    issued and the warn flag is set, never silently.
+    Returns (value, est_error, warn).  est_error is the a-priori aliasing
+    bound (1 + 2q/(1 - q))^2 - 1, q = exp(-pi^2 / (tr Q h^2)), from Poisson
+    summation with lambda_max(Q) <= tr Q, plus the truncation tail
+    1 - erf(radius)^2; rounding (~1e-14) is not included.  When est_error
+    exceeds 1e-3 a QuadratureWarning is issued and the warn flag is set.
     """
     V = require_physical(V)
     if V.ndim != 2:
@@ -142,12 +156,17 @@ def fidelity_by_quadrature(V, spec: QuadratureSpec = DEFAULT_SPEC) -> Quadrature
     if not isinstance(spec, QuadratureSpec):
         raise InvalidInput("spec must be a QuadratureSpec")
 
-    value = _integrate(V, spec.radius, spec.points_per_axis)
-    # the coarse count is odd too, so 0 is a node of both grids
-    coarse = _integrate(V, spec.radius, spec.points_per_axis // 2 | 1)
+    v = V.tolist()  # Python floats: an overflowing trace reads inf without numpy warnings
+    trace_q = 2.0 + (v[0][0] - 2.0 * v[0][2] + v[2][2]) + (v[1][1] + 2.0 * v[1][3] + v[3][3])
+    n = spec.points_per_axis
+    if n is None:
+        n = 51
+        while n < 401 and _aliasing_bound(trace_q, spec.radius, n) > 1e-12:
+            n += 2
+    value = _integrate(V, spec.radius, n)
 
     tail = 1.0 - math.erf(spec.radius) ** 2
-    est_error = abs(value - coarse) + tail
+    est_error = _aliasing_bound(trace_q, spec.radius, n) + tail
     if not math.isfinite(value):
         raise NumericalDomainError("quadrature accumulated a non-finite value")
 
@@ -156,7 +175,7 @@ def fidelity_by_quadrature(V, spec: QuadratureSpec = DEFAULT_SPEC) -> Quadrature
         warnings.warn(
             QuadratureWarning(
                 f"quadrature not converged: est_error={est_error:.3e} "
-                f"(radius={spec.radius}, points={spec.points_per_axis})"
+                f"(radius={spec.radius}, points={n})"
             ),
             stacklevel=2,
         )

@@ -57,7 +57,7 @@ def test_quadrature_spec_validation():
         with pytest.raises(GridSizeError, match="exceeds the 4000000 point budget"):
             oracle.QuadratureSpec(points_per_axis=n)
     assert oracle.DEFAULT_SPEC.radius == 6.0
-    assert oracle.DEFAULT_SPEC.points_per_axis == 401
+    assert oracle.DEFAULT_SPEC.points_per_axis is None  # sized per state
 
 
 # ------------------------------------------------------------- CF values
@@ -126,6 +126,56 @@ def test_quadrature_matches_closed_form_on_random_states(rng):
         res = oracle.fidelity_by_quadrature(V)
         assert abs(res.value - f) < 1e-5
         assert not res.warn
+
+
+# the two routes each round at ~1e-14 on these states (worst seen 2.7e-14),
+# and the a-priori bound covers aliasing only, so comparisons add this floor
+ROUNDING = 1e-13
+
+
+def test_default_grid_is_sized_per_state_within_its_bound(rng, monkeypatch):
+    grids = []
+    integrate = oracle._integrate
+
+    def recorded(V, radius, n):
+        grids.append(n)
+        return integrate(V, radius, n)
+
+    monkeypatch.setattr(oracle, "_integrate", recorded)
+    n = 1000
+    states = np.concatenate([
+        sampling.random_physical_covmats(rng, 2 * n),
+        sampling.random_separable_covmats(rng, n),
+        resources.tmst_covmat(rng.uniform(0.0, 2.5, n), rng.uniform(0.5, 3.0, n),
+                              rng.uniform(0.5, 3.0, n)),
+        resources.bs_covmat(rng.uniform(0.0, 1.5, n), rng.uniform(0.5, 3.0, n),
+                            rng.uniform(0.05, 0.95, n)),
+    ])
+    F = criteria.fidelity(states)
+    for k, (V, f) in enumerate(zip(states, F)):
+        res = oracle.fidelity_by_quadrature(V)
+        assert len(grids) == k + 1  # one grid per call
+        assert grids[k] % 2 == 1 and 51 <= grids[k] <= 401, k
+        assert res.est_error <= 1e-12, k
+        assert abs(res.value - f) <= res.est_error + ROUNDING, k
+
+
+@pytest.mark.filterwarnings("ignore::gaussqt.errors.QuadratureWarning")
+def test_aliasing_bound_covers_the_true_error_on_51_points(rng):
+    spec = oracle.QuadratureSpec(points_per_axis=51)
+    # true errors 0, 3e-6 and 1e-3 against bounds 2e-8, 1.4e-2 and 0.46
+    for k, bound in ((5, 2.2e-8), (20, 1.4e-2), (50, 0.47)):
+        V = resources.tmst_covmat(0.5, k, k)
+        res = oracle.fidelity_by_quadrature(V, spec)
+        assert abs(res.value - criteria.fidelity(V)) <= res.est_error < bound
+    Vs = sampling.random_physical_covmats(rng, 1000)
+    errors = []
+    for V, f in zip(Vs, criteria.fidelity(Vs)):
+        res = oracle.fidelity_by_quadrature(V, spec)
+        errors.append(abs(res.value - f))
+        assert errors[-1] <= res.est_error + ROUNDING
+    # the ensemble reaches well past rounding on 51 points
+    assert max(errors) > 1e-3
 
 
 def test_quadrature_plateau_on_coarse_grids():
