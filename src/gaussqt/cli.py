@@ -72,7 +72,7 @@ def _emit(text: str, out: str | None) -> None:
 def _print_analysis(V, args) -> int:
     # one kernel call gives every field but the canonical form and simon_lhs
     symmetric = core._is_symmetric(core._as_covmat(V))  # entries past MAX_ENTRY exit 3
-    (nm, np_, pt_nm, physical, entangled), row = criteria._evaluate(V, symmetric)
+    (nm, np_, pt_nm, physical, entangled), row = criteria._evaluate(core._entries(V), symmetric)
     validity = core.ValidityReport(bool(symmetric), float(nm), float(np_), bool(physical))
     if args.format == "csv":
         text = core.record_csv({**row, "class": criteria.LABELS[row["class"]]})
@@ -97,7 +97,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _build_state(args):
-    names, build = sweep._FAMILIES[args.family]
+    names, build, _ = sweep._FAMILIES[args.family]
     return build(args.r, *(getattr(args, name) for name in names))
 
 

@@ -94,31 +94,38 @@ def blocks(V) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return V[..., :2, :2], V[..., 2:, 2:], V[..., :2, 2:]
 
 
-def _spectrum(V: np.ndarray, valid=True) -> tuple[np.ndarray, ...]:
-    """``(nu_minus, nu_plus, pt_nu_minus, physical, entangled)`` from one factor V = L L^T: V's
-    symplectic pair, its partial transpose's nu_minus and the two verdicts, each written only
-    here.  K = L^T Omega L has eigenvalues +-i nu: with p = (K01 + K23, K02 - K13, K03 + K12) and
-    m = (K01 - K23, K02 + K13, K03 - K12), nu_plus = (|p| + |m|) / 2 and nu_minus = det L /
-    nu_plus (det L = Pf K, capped at nu_plus, which it passes by rounding at a double
-    eigenvalue), with no cancellation.  K01 = l00 l11 + b; Omega~ = J (+) -J flips mode b's
-    terms, b and K23.  Williamson's theorem gives a spectrum only to a positive definite V, so
-    all three read nan on rows that are not ``valid`` (symmetric at least: the factor reads the
-    lower triangle) or not pd: a pivot <= 0 or a non-finite nu_plus.  V is physical iff
-    nu_minus >= 1/2 - 1e-10, which nan fails (an indefinite V can have every |eigenvalue| of
-    i Omega V above 1/2), and entangled iff physical and pt_nu_minus < 1/2 - 1e-10 (the PPT
-    test).  Only +, -, *, / and sqrt touch the entries (np.square is x * x; x ** 2 on a numpy
-    scalar is not), so a row gives the same bits alone as in a stack."""
+def _entries(V: np.ndarray) -> list[np.ndarray]:
+    """The kernels' input: a (..., 4, 4) stack's 16 views ``V[..., i, j]``, row-major."""
+    return [V[..., i, j] for i in range(4) for j in range(4)]
+
+
+def _spectrum(e, valid=True) -> tuple[np.ndarray, ...]:
+    """``(nu_minus, nu_plus, pt_nu_minus, physical, entangled)`` of the matrices with the 16
+    row-major entries ``e``, from one factor V = L L^T: V's symplectic pair, its partial
+    transpose's nu_minus and the two verdicts, each written only here.  K = L^T Omega L has
+    eigenvalues +-i nu: with p = (K01 + K23, K02 - K13, K03 + K12) and m = (K01 - K23, K02 +
+    K13, K03 - K12), nu_plus = (|p| + |m|) / 2 and nu_minus = det L / nu_plus (det L = Pf K,
+    capped at nu_plus, which it passes by rounding at a double eigenvalue), with no
+    cancellation.  K01 = l00 l11 + b; Omega~ = J (+) -J flips mode b's terms, b and K23.
+    Williamson's theorem gives a spectrum only to a positive definite V, so all three read nan
+    on rows that are not ``valid`` (symmetric at least: the factor reads the lower triangle) or
+    not pd: a pivot <= 0 or a non-finite nu_plus.  V is physical iff nu_minus >= 1/2 - 1e-10,
+    which nan fails (an indefinite V can have every |eigenvalue| of i Omega V above 1/2), and
+    entangled iff physical and pt_nu_minus < 1/2 - 1e-10 (the PPT test).  Only +, -, *, / and
+    sqrt touch the entries (np.square is x * x; x ** 2 on a numpy scalar is not), so a row
+    gives the same bits alone as in a stack, and an entry that is the float 0.0 the same bits
+    as a column of zeros."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        l00 = np.sqrt(V[..., 0, 0])
-        l10, l20, l30 = V[..., 1, 0] / l00, V[..., 2, 0] / l00, V[..., 3, 0] / l00
-        l11 = np.sqrt(V[..., 1, 1] - l10 * l10)
+        l00 = np.sqrt(e[0])
+        l10, l20, l30 = e[4] / l00, e[8] / l00, e[12] / l00
+        l11 = np.sqrt(e[5] - l10 * l10)
         a = l00 * l11
-        l21, l31 = (V[..., 2, 1] - l20 * l10) / l11, (V[..., 3, 1] - l30 * l10) / l11
+        l21, l31 = (e[9] - l20 * l10) / l11, (e[13] - l30 * l10) / l11
         del l00, l10, l11
         b = l20 * l31 - l30 * l21
-        l22 = np.sqrt(V[..., 2, 2] - l20 * l20 - l21 * l21)
-        l32 = (V[..., 3, 2] - l30 * l20 - l31 * l21) / l22
-        l33 = V[..., 3, 3] - l30 * l30 - l31 * l31 - l32 * l32
+        l22 = np.sqrt(e[10] - l20 * l20 - l21 * l21)
+        l32 = (e[14] - l30 * l20 - l31 * l21) / l22
+        l33 = e[15] - l30 * l30 - l31 * l31 - l32 * l32
         k02, k12 = l20 * l32 - l30 * l22, l21 * l32 - l31 * l22
         del l30, l31, l32
         l33 = np.sqrt(l33)
@@ -146,7 +153,7 @@ def symplectic_eigenvalues(V) -> tuple[np.ndarray, np.ndarray]:
     """Return ``(nu_minus, nu_plus)``, both nan for a matrix that is not symmetric and positive
     definite; stacked input gives stacked output."""
     V = _as_covmat(V)
-    nm, np_ = _spectrum(V, _is_symmetric(V))[:2]
+    nm, np_ = _spectrum(_entries(V), _is_symmetric(V))[:2]
     return (float(nm), float(np_)) if nm.ndim == 0 else (nm, np_)
 
 
@@ -165,16 +172,16 @@ def validate(V) -> ValidityReport:
     if V.ndim != 2:
         raise InvalidInput("validate expects a single 4x4 matrix")
     symmetric = _is_symmetric(V)
-    nm, np_, _, physical, _ = _spectrum(V, symmetric)
+    nm, np_, _, physical, _ = _spectrum(_entries(V), symmetric)
     return ValidityReport(symmetric=bool(symmetric), nu_minus=float(nm),
                           nu_plus=float(np_), physical=bool(physical))
 
 
 def _physical_spectra(V: np.ndarray) -> tuple[np.ndarray, ...]:
-    """``_spectrum(V)``, raising PreconditionFailed unless every matrix is physical."""
+    """``_spectrum`` of V's entries, raising PreconditionFailed unless every matrix is physical."""
     if not np.all(_is_symmetric(V)):
         raise PreconditionFailed("covariance matrix is not symmetric")
-    spectra = _spectrum(V)
+    spectra = _spectrum(_entries(V))
     if not np.all(spectra[3]):
         raise PreconditionFailed(
             "covariance matrix violates the uncertainty bound V > 0, nu_minus >= 1/2"
@@ -206,7 +213,7 @@ def ppt_nu_minus(V) -> np.ndarray | float:
     """Smallest symplectic eigenvalue of the partial transpose, nan for a matrix that is not
     symmetric and positive definite."""
     V = _as_covmat(V)
-    nm = _spectrum(V, _is_symmetric(V))[2]
+    nm = _spectrum(_entries(V), _is_symmetric(V))[2]
     return float(nm) if nm.ndim == 0 else nm
 
 
@@ -412,8 +419,8 @@ def _token_rule(v, fmt: str):
     the token rules: floats via fmt17, booleans 0/1 or true/false, strings
     (labels, identifiers) bare or quoted unescaped, None and dicts JSON only.
     The row writer's floats take ``_fmt17_tokens``, which writes what fmt17
-    writes: in numpy for normal |x| in [2**-36, 2**51), through fmt17 one value
-    at a time outside it."""
+    writes: in numpy for normal |x| in [2**-36, 2**51) in arrays of at least
+    ``_FMT_LOOP`` values, else through fmt17 one value at a time."""
     if v is None:
         return lambda _: "null"
     if isinstance(v, (bool, np.bool_)):
@@ -471,14 +478,19 @@ _LOW32, _U32, _U64, _U1 = np.uint64(0xFFFFFFFF), np.uint64(32), np.uint64(64), n
 _E8, _E16 = np.uint64(10**8), np.uint64(10**16)
 # values per character matrix, which then holds a few hundred kB
 _FMT_BLOCK = 4096
+# below this many values fmt17 one at a time is faster (about 1 us a value, against
+# _fmt17_block's 0.1-0.25 ms a call whatever its size)
+_FMT_LOOP = 300
 
 
 def _fmt17_tokens(values: np.ndarray, before: str = "", after: str = "") -> np.ndarray:
     """``before + fmt17(v) + after`` for each value of a 1-D float array, byte for
-    byte, as an object array.  Values in ``_WINDOW`` are formatted by
-    ``_fmt17_block`` in blocks of one decimal exponent after another; the rest
-    one at a time by fmt17."""
+    byte, as an object array.  From ``_FMT_LOOP`` values on, values in ``_WINDOW``
+    are formatted by ``_fmt17_block`` in blocks of one decimal exponent after
+    another; the rest one at a time by fmt17."""
     x = np.asarray(values, dtype=np.float64)
+    if x.size < _FMT_LOOP:
+        return np.array([before + fmt17(v) + after for v in x.tolist()], dtype=object)
     tokens = np.empty(x.size, dtype=object)
     a = np.abs(x)
     inside = (a >= _WINDOW[0]) & (a < _WINDOW[1])
@@ -589,27 +601,48 @@ def _column(column: np.ndarray, fmt: str, before: str = "", after: str = "",
 # rows per join.  Joined whole, a chunk's rows and its text sat beside its float
 # tokens: the 501^2 bs JSON CLI sweep peaked at 139 MB RSS, against 84-85 MB here
 _ROW_BLOCK = 1024
+_SEP = {"csv": ",", "json": ", "}
 
 
-def _row_blocks(columns: dict, fmt: str, tables: dict | None = None):
-    """Text rows of equal-length, non-empty 1-D columns, keys in dict order, in
-    lists of up to _ROW_BLOCK rows: CSV values or one-line JSON objects.  A
-    column named in ``tables`` holds integer codes into the table given for it.
-    Each row is one join of its columns' tokens, the JSON keys and braces
-    already folded into each column's tokens, and each distinct value of a
-    column is formatted once (see ``_column``; floats exactly as fmt17,
-    vectorised for |x| in [2**-36, 2**51))."""
-    tables = tables or {}
-    if fmt == "csv":
-        sep, before, after = ",", [""] * len(columns), [""] * len(columns)
-    else:
-        sep, before, after = ", ", [f'"{k}": ' for k in columns], [""] * len(columns)
-        before[0], after[-1] = "{" + before[0], "}"
-    tokens = [_column(column, fmt, b, a, tables.get(name))
-              for (name, column), b, a in zip(columns.items(), before, after)]
-    for lo in range(0, tokens[0][1].size, _ROW_BLOCK):
-        yield list(map(sep.join, zip(*[column[codes[lo:lo + _ROW_BLOCK]].tolist()
-                                        for column, codes in tokens])))
+def _tokens(columns: dict, fmt: str, tables: dict | None = None, groups=()) -> list:
+    """The row writer's fields: ``(tokens, codes)`` for each token of a row, its JSON keys,
+    separators and braces folded in.  A column named in ``tables`` holds integer codes into
+    the table given for it.  Each tuple of adjacent column names in ``groups`` is one token:
+    after a float column the rest are floats that are functions of it, formatted once per its
+    distinct value; otherwise the group's codes are its columns' joint codes, into the
+    product of their tokens."""
+    tables, sep, keys = tables or {}, _SEP[fmt], list(columns)
+    before = {k: "" if fmt == "csv" else f'"{k}": ' for k in keys}
+    after = dict.fromkeys(keys, "")
+    if fmt == "json":
+        before[keys[0]], after[keys[-1]] = "{" + before[keys[0]], "}"
+    head = {k: group[0] for group in groups for k in group[1:]}
+    fields = []
+    for k in keys:
+        if k not in head:
+            fields.append(_column(columns[k], fmt, before[k], after[k], tables.get(k)))
+        elif columns[head[k]].dtype.kind == "f":  # its value at each distinct head, by scatter
+            tokens, codes = fields[-1]
+            values = np.zeros(tokens.size)
+            values[codes] = columns[k]
+            more = _fmt17_tokens(values, sep + before[k], after[k])
+            tokens += more  # in place: a third token array would raise the peak
+            del more
+        else:
+            (tokens, codes), (more, more_codes) = fields[-1], _column(
+                columns[k], fmt, sep + before[k], after[k], tables.get(k))
+            fields[-1] = (tokens[:, None] + more).ravel(), codes * np.intp(more.size) + more_codes
+    return fields
+
+
+def _row_blocks(columns: dict, fmt: str, tables: dict | None = None, groups=()):
+    """Text rows of equal-length, non-empty 1-D columns, keys in dict order, in lists of up to
+    _ROW_BLOCK rows: CSV values or one-line JSON objects, each one join of the tokens
+    ``_tokens`` makes, which formats each distinct value of a column or a group once."""
+    fields = _tokens(columns, fmt, tables, groups)
+    for lo in range(0, fields[0][1].size, _ROW_BLOCK):
+        yield list(map(_SEP[fmt].join, zip(*[tokens[codes[lo:lo + _ROW_BLOCK]].tolist()
+                                              for tokens, codes in fields])))
 
 
 def record_json(fields: dict) -> str:

@@ -16,14 +16,14 @@ All comparisons against the boundaries 2 and 4 are strict with no
 tolerance band; raw values are always reported so consumers can apply
 their own thresholds.
 
-``_evaluate`` is the one evaluation path: from one Cholesky factor per
-matrix, ``core._spectrum``, it gives the spectra, the physicality and PPT
-verdicts (both written only there) and the output row, a dict of column
-arrays keyed by output name in output order, and is the only place the
-label precedence is written.  ``classify`` (one kernel call over a state or
-a stack as given), ``sweep.run_sweep`` (one call per chunk) and the CLI's
-``analyze`` and ``state`` (one call per matrix, whose spectra they print)
-are views over it.
+``_evaluate`` is the one evaluation path: from V's 16 entries and one Cholesky
+factor per matrix, ``core._spectrum``, it gives the spectra, the physicality
+and PPT verdicts (both written only there) and the output row, a dict of
+column arrays keyed by output name in output order, and is the only place the
+label precedence is written.  ``classify`` (one kernel call over a state or a
+stack as given, on ``core._entries`` views), ``sweep.run_sweep`` (one call per
+chunk, on a family's entries) and the CLI's ``analyze`` and ``state`` (one call
+per matrix, whose spectra they print) are views over it.
 """
 
 from __future__ import annotations
@@ -51,36 +51,31 @@ __all__ = [
     "classify",
 ]
 
-def _delta_raw(V: np.ndarray) -> np.ndarray:
+def _delta_raw(e) -> np.ndarray:
     # <d^2(x_a - x_b)> + <d^2(p_a + p_b)> straight from the entries
-    return (
-        V[..., 0, 0] + V[..., 2, 2] - 2.0 * V[..., 0, 2]
-        + V[..., 1, 1] + V[..., 3, 3] + 2.0 * V[..., 1, 3]
-    )
+    return e[0] + e[10] - 2.0 * e[2] + e[5] + e[15] + 2.0 * e[7]
 
 
-def _m_entries(V: np.ndarray) -> tuple[np.ndarray, ...]:
+def _m_entries(e) -> tuple[np.ndarray, ...]:
     """``(m00, m01, m10, m11)`` of M = A - (C sz + sz C^T) + sz B sz + I from the
     entries of V, summed in the matrix expression's order.  The sigma_z products
     only multiply by +-1 and 0, which is exact, so each entry is bit-identical to
     the batched 2x2 matmuls (the trailing + I also clears their signed zeros)."""
-    a01, a10, b01, b10 = V[..., 0, 1], V[..., 1, 0], V[..., 2, 3], V[..., 3, 2]
-    c00, c01, c10, c11 = V[..., 0, 2], V[..., 0, 3], V[..., 1, 2], V[..., 1, 3]
-    cross = c10 - c01  # both off-diagonal entries of C sz + sz C^T
+    cross = e[6] - e[3]  # both off-diagonal entries of C sz + sz C^T
     return (
-        V[..., 0, 0] - (c00 + c00) + V[..., 2, 2] + 1.0,
-        a01 - cross - b01 + 0.0,
-        a10 - cross - b10 + 0.0,
-        V[..., 1, 1] + (c11 + c11) + V[..., 3, 3] + 1.0,
+        e[0] - (e[2] + e[2]) + e[10] + 1.0,
+        e[1] - cross - e[11] + 0.0,
+        e[4] - cross - e[14] + 0.0,
+        e[5] + (e[7] + e[7]) + e[15] + 1.0,
     )
 
 
-def _m_raw(V: np.ndarray) -> np.ndarray:
-    return np.stack(_m_entries(V), axis=-1).reshape(V.shape[:-2] + (2, 2))
+def _m_raw(e) -> np.ndarray:
+    return np.stack(_m_entries(e), axis=-1).reshape(np.shape(e[0]) + (2, 2))
 
 
-def _det_m(V: np.ndarray) -> np.ndarray:
-    m00, m01, m10, m11 = _m_entries(V)
+def _det_m(e) -> np.ndarray:
+    m00, m01, m10, m11 = _m_entries(e)
     return m00 * m11 - m01 * m10
 
 
@@ -103,19 +98,19 @@ def epr_uncertainty(V):
     broadcasts.
     """
     V = core.require_physical(V)
-    return _scalar_or_array(_delta_raw(V))
+    return _scalar_or_array(_delta_raw(core._entries(V)))
 
 
 def epr_degree(V):
     """Degree of EPR correlation, max(0, 2 - Delta)."""
     V = core.require_physical(V)
-    return _scalar_or_array(_f_epr(_delta_raw(V)))
+    return _scalar_or_array(_f_epr(_delta_raw(core._entries(V))))
 
 
 def m_matrix(V):
     """The 2x2 matrix M controlling coherent-state teleportation fidelity."""
     V = core.require_physical(V)
-    return _m_raw(V)
+    return _m_raw(core._entries(V))
 
 
 def fidelity(V):
@@ -125,7 +120,7 @@ def fidelity(V):
     (M >= I); if it does the call fails loudly.
     """
     V = core.require_physical(V)
-    detm = _det_m(V)
+    detm = _det_m(core._entries(V))
     if np.any(detm <= 0.0):
         raise NumericalDomainError("det M <= 0 on physical input; internal inconsistency")
     return _scalar_or_array(_fidelity(detm))
@@ -209,14 +204,15 @@ _PRECEDENCE = [_CODE[c] for c in (Classification.UNPHYSICAL, Classification.SEPA
                                   Classification.ENTANGLED_NO_QT)]
 
 
-def _evaluate(V: np.ndarray, valid=True) -> tuple[tuple, dict]:
-    """``core._spectrum(V, valid)`` and the output row of a (..., 4, 4) stack, columns in output
-    order (``class`` as codes into LABELS); unphysical rows read nan, False, Unphysical.  Any
-    entries are accepted: rows that are not ``valid`` are not physical, whatever they hold."""
-    spectra = core._spectrum(V, valid)
+def _evaluate(e, valid=True) -> tuple[tuple, dict]:
+    """``core._spectrum(e, valid)`` and the output row of the matrices with the 16 row-major
+    entries ``e``, columns in output order (``class`` as codes into LABELS); unphysical rows
+    read nan, False, Unphysical.  Rows that are not ``valid`` are not physical, whatever they
+    hold."""
+    spectra = core._spectrum(e, valid)
     physical, entangled = spectra[3:]
     with np.errstate(over="ignore", invalid="ignore"):  # inf - inf and overflow, unphysical rows
-        delta, det_m = _delta_raw(V), _det_m(V)
+        delta, det_m = _delta_raw(e), _det_m(e)
     if not physical.all():  # nan before _fidelity, so no unphysical row warns
         delta, det_m = np.where(physical, delta, np.nan), np.where(physical, det_m, np.nan)
     epr = delta < 2.0
@@ -262,7 +258,7 @@ def classify(V):
 
     with np.errstate(invalid="ignore", over="ignore"):  # inf - inf and overflow in V - V^T
         valid = np.all(np.abs(V) <= core.MAX_ENTRY, axis=(-2, -1)) & core._is_symmetric(V)
-    row = _evaluate(V, valid)[1]
+    row = _evaluate(core._entries(V), valid)[1]
     if V.ndim == 2:
         return _report(row)
     *values, codes = row.values()

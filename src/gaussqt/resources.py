@@ -17,9 +17,11 @@ at r_ent (a closed form in k1, k2), EPR correlation and teleportation
 capability together at r_qt = ln(k1 + k2)/2, and the beam-splitter output
 is entangled exactly when the input is quadrature squeezed, r > ln(2k)/2.
 
-``tmst_covmat`` and ``bs_covmat`` are the constructors.  ``TmstSpec``/``tmst``
-and ``BsSpec``/``bs_resource`` wrap them for callers holding a spec object
-(perfbench's output checks); ``gaussqt`` does not export them.
+Each family is written once, as V's 16 row-major entries with zeros the float
+0.0 (``_tmst_entries``, ``_bs_entries``), which sweeps pass to the kernel.  The
+constructors ``tmst_covmat`` and ``bs_covmat`` check the parameters and stack
+them; ``TmstSpec``/``tmst`` and ``BsSpec``/``bs_resource`` wrap those for spec
+objects (perfbench's output checks), and ``gaussqt`` does not export them.
 """
 
 from __future__ import annotations
@@ -69,7 +71,7 @@ def _check_T(T) -> np.ndarray:
 
 
 def _require_finite(x: np.ndarray, names: str, what: str) -> np.ndarray:
-    # the callers run under np.errstate(over="ignore", invalid="ignore"), so
+    # the formulas run under np.errstate(over="ignore", invalid="ignore"), so
     # an overflow surfaces here as one named error instead of numpy warnings
     if not np.all(np.isfinite(x)):
         raise InvalidInput(f"{names} too large: {what} overflows")
@@ -105,23 +107,29 @@ class BsSpec:
         _check_T(self.T)
 
 
+def _covmat(entries, names: str) -> np.ndarray:
+    """The (..., 4, 4) stack of 16 row-major entries, V00 of its shape; all must be finite."""
+    V = np.empty(np.shape(entries[0]) + (16,))
+    for i, x in enumerate(entries):
+        V[..., i] = x
+    return _require_finite(V.reshape(V.shape[:-1] + (4, 4)), names, "the covariance matrix")
+
+
 @np.errstate(over="ignore", invalid="ignore")
+def _tmst_entries(r, k1, k2) -> tuple:
+    """The TMST's entries (see above) from checked parameters; arrays broadcast."""
+    r, k1, k2 = np.broadcast_arrays(r, k1, k2)
+    mu2, nu2 = np.cosh(r) ** 2, np.sinh(r) ** 2
+    eta, zeta = mu2 * k1 + nu2 * k2, nu2 * k1 + mu2 * k2
+    c = 0.5 * np.sinh(2.0 * r) * (k1 + k2)
+    return (eta, 0.0, c, 0.0, 0.0, eta, 0.0, -c,  # rows 0 and 1, then 2 and 3
+            c, 0.0, zeta, 0.0, 0.0, -c, 0.0, zeta)
+
+
 def tmst_covmat(r, k1, k2) -> np.ndarray:
     """TMST covariance matrix; array arguments broadcast to a stack."""
-    r = _check_r(r)
-    k1 = _check_k(k1, "k1")
-    k2 = _check_k(k2, "k2")
-    r, k1, k2 = np.broadcast_arrays(r, k1, k2)
-    mu2 = np.cosh(r) ** 2
-    nu2 = np.sinh(r) ** 2
-    eta = mu2 * k1 + nu2 * k2
-    zeta = nu2 * k1 + mu2 * k2
-    c = 0.5 * np.sinh(2.0 * r) * (k1 + k2)
-    V = np.zeros(np.shape(r) + (4, 4))
-    for i, sign in ((0, 1.0), (1, -1.0)):
-        V[..., i, i], V[..., i + 2, i + 2] = eta, zeta
-        V[..., i, i + 2] = V[..., i + 2, i] = sign * c
-    return _require_finite(V, "r, k1 or k2", "the covariance matrix")
+    return _covmat(_tmst_entries(_check_r(r), _check_k(k1, "k1"), _check_k(k2, "k2")),
+                   "r, k1 or k2")
 
 
 def tmst(spec: TmstSpec) -> np.ndarray:
@@ -151,8 +159,8 @@ def single_mode_sth(r, k) -> np.ndarray:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def bs_covmat(r, k, T) -> np.ndarray:
-    """Beam-splitter output covariance; array arguments broadcast.
+def _bs_entries(r, k, T) -> tuple:
+    """The beam-splitter output's entries (see above) from checked parameters.
 
     The product S_BS (sigma (+) I/2) S_BS^T with S_BS = [[sqrt(T) I, sqrt(1-T) I],
     [-sqrt(1-T) I, sqrt(T) I]], written entry by entry: with s = (s0, s1) =
@@ -160,17 +168,17 @@ def bs_covmat(r, k, T) -> np.ndarray:
     C = sqrt(T(1-T)) diag(1/2 - s); every other entry is 0.  Elementwise numpy with
     no BLAS call, so the bits do not depend on the machine's BLAS kernel.
     """
-    r = _check_r(r)
-    k = _check_k(k)
-    T = _check_T(T)
     r, k, T = np.broadcast_arrays(r, k, T)
     t = np.sqrt(T * (1.0 - T))
-    V = np.zeros(np.shape(r) + (4, 4))
-    for i, s in enumerate((k * np.exp(-2.0 * r), k * np.exp(2.0 * r))):
-        V[..., i, i] = T * s + (1.0 - T) / 2
-        V[..., i + 2, i + 2] = (1.0 - T) * s + T / 2
-        V[..., i, i + 2] = V[..., i + 2, i] = t * (0.5 - s)
-    return _require_finite(V, "r or k", "the covariance matrix")
+    (a0, b0, c0), (a1, b1, c1) = ((T * s + (1.0 - T) / 2, (1.0 - T) * s + T / 2, t * (0.5 - s))
+                                  for s in (k * np.exp(-2.0 * r), k * np.exp(2.0 * r)))
+    return (a0, 0.0, c0, 0.0, 0.0, a1, 0.0, c1,
+            c0, 0.0, b0, 0.0, 0.0, c1, 0.0, b1)
+
+
+def bs_covmat(r, k, T) -> np.ndarray:
+    """Beam-splitter output covariance; array arguments broadcast."""
+    return _covmat(_bs_entries(_check_r(r), _check_k(k), _check_T(T)), "r or k")
 
 
 def bs_resource(spec: BsSpec) -> np.ndarray:

@@ -1,15 +1,15 @@
 """Rectangular parameter sweeps producing machine-readable region grids.
 
-A sweep fixes the squeeze parameter of a resource family and scans two
-axes (tmst: k1, k2; bs: k, T), evaluating the EPR uncertainty, det M,
-fidelity and the three verdict flags at every grid point through
-``criteria._evaluate``, the package's one evaluation path.  The sweep is
-one stream: ``run_sweep`` yields one dict of column arrays per chunk of
-rows (axis1, axis2 and the output row of ``criteria._evaluate``, whose
-``class`` column holds int8 codes into ``criteria.LABELS``), and
-``text``/``write`` format each chunk as it arrives, as CSV or JSON by
-their ``fmt`` argument, so nothing grows with the grid and one config can be
-written in both formats.  Rows are ordered with axis2 varying fastest, and
+A sweep fixes the squeeze parameter of a resource family and scans two axes
+(tmst: k1, k2; bs: k, T), evaluating the EPR uncertainty, det M, fidelity and
+the three verdict flags at every grid point: ``criteria._evaluate``, the one
+evaluation path, reads the family's entries, with no (n, 4, 4) stack.  The
+sweep is one stream: ``run_sweep`` yields one dict of column arrays per chunk
+(axis1, axis2 and ``criteria._evaluate``'s row, ``class`` as int8 codes into
+``criteria.LABELS``), and ``text``/``write`` format each chunk as it arrives,
+as CSV or JSON by their ``fmt`` argument, det_m and fidelity as one token per
+distinct det M and the flags and label as one token per joint code; nothing
+grows with the grid.  Rows are ordered with axis2 varying fastest, and
 a row reads as ``classify`` reads its matrix, Unphysical included.
 ``SweepConfig`` checks the grid's corners, so a sweep that starts cannot
 fail part-way.  Identical configurations produce byte-identical files.
@@ -37,9 +37,12 @@ __all__ = [
 
 MAX_GRID_POINTS = 4_000_000
 
-# family -> (axis names, covariance constructor taking (r, axis1, axis2))
-_FAMILIES = {"tmst": (("k1", "k2"), resources.tmst_covmat),
-             "bs": (("k", "T"), resources.bs_covmat)}
+# family -> (axis names, constructor, its unchecked entries), each taking (r, axis1, axis2)
+_FAMILIES = {"tmst": (("k1", "k2"), resources.tmst_covmat, resources._tmst_entries),
+             "bs": (("k", "T"), resources.bs_covmat, resources._bs_entries)}
+
+# the writer's folded tokens: fidelity is a function of det_m; flags and label, 40 codes
+_GROUPS = (("det_m", "fidelity"), ("entangled", "epr", "qt", "class"))
 
 # rows per kernel call and per piece of text.  A chunk's compute temporaries
 # and its text set a sweep's peak memory; at 1 << 17 a process's second JSON
@@ -80,7 +83,7 @@ class SweepConfig:
     def __post_init__(self):
         if self.family not in _FAMILIES:
             raise InvalidInput(f"family must be one of {tuple(_FAMILIES)}")
-        names, build = _FAMILIES[self.family]
+        names, build, _ = _FAMILIES[self.family]
         if (self.axis1.name, self.axis2.name) != names:
             raise InvalidInput(f"axes for family {self.family!r} must be {names}, "
                                f"got {(self.axis1.name, self.axis2.name)}")
@@ -109,12 +112,12 @@ def run_sweep(config: SweepConfig):
     ``criteria.LABELS``)."""
     v1, v2 = config.axis1.values(), config.axis2.values()
     r = float(config.r)
-    build = _FAMILIES[config.family][1]
+    entries = _FAMILIES[config.family][2]
     for lo in range(0, config.size, _CHUNK):
         i = np.arange(lo, min(lo + _CHUNK, config.size))
         chunk = {"axis1": v1[i // v2.size], "axis2": v2[i % v2.size]}
         del i  # while a chunk is formatted, only its dict holds its arrays
-        chunk.update(criteria._evaluate(build(r, chunk["axis1"], chunk["axis2"]))[1])
+        chunk.update(criteria._evaluate(entries(r, chunk["axis1"], chunk["axis2"]))[1])
         yield chunk
 
 
@@ -142,7 +145,7 @@ def text(config: SweepConfig, fmt: str):
         # format next(chunks) in place, and drop the last block before the next
         # chunk is computed: a variable would keep either alive meanwhile
         for i, block in enumerate(core._row_blocks(
-                _axis_codes(next(chunks), lo, config.axis2.steps), fmt, tables)):
+                _axis_codes(next(chunks), lo, config.axis2.steps), fmt, tables, _GROUPS)):
             if lo or i:
                 yield sep
             yield sep.join(block)

@@ -360,12 +360,12 @@ def test_ppt_verdict_is_exact_off_the_cut(rng):
     # against exact arithmetic on the stored matrix, wrong verdicts of rows with a spectrum
     # lie within a band of 1.0 eps |V|_F about the cut (0.43 the worst seen)
     for name, V in ppt_ensembles(rng, 10_000).items():
-        nm = core._spectrum(V)[2]
+        nm = core._spectrum(core._entries(V))[2]
         wrong = np.flatnonzero(~np.isnan(nm) & ((nm < PPT_CUT) != exact_ppt_entangled(V)))
         delta = 1.0 * np.finfo(float).eps * np.linalg.norm(V[wrong], axis=(1, 2))
         assert np.all(exact_ppt_entangled(V[wrong], PPT_CUT - delta)
                       != exact_ppt_entangled(V[wrong], PPT_CUT + delta)), name
-        assert np.array_equal(core._spectrum(V.reshape(4, -1, 4, 4))[2],
+        assert np.array_equal(core._spectrum(core._entries(V.reshape(4, -1, 4, 4)))[2],
                               nm.reshape(4, -1), equal_nan=True), name
 
 
@@ -376,9 +376,10 @@ def test_a_row_alone_gives_the_bits_it_gives_in_its_stack(rng):
         return np.array_equal(np.array(a, dtype=float), np.array(b, dtype=float), equal_nan=True)
 
     for name, V in ppt_ensembles(rng, 750).items():
-        stack = zip(*core.symplectic_eigenvalues(V), core.ppt_nu_minus(V), *core._spectrum(V))
+        stack = zip(*core.symplectic_eigenvalues(V), core.ppt_nu_minus(V),
+                    *core._spectrum(core._entries(V)))
         for i, row in enumerate(stack):
-            rep, one = core.validate(V[i]), core._spectrum(V[i])
+            rep, one = core.validate(V[i]), core._spectrum(core._entries(V[i]))
             single = (rep.nu_minus, rep.nu_plus, core.ppt_nu_minus(V[i]),
                       *one[:3], rep.physical, one[4])
             assert same(single, row) and same(core.symplectic_eigenvalues(V[i]), row[:2]), (
@@ -398,8 +399,8 @@ def test_spectra_are_nan_on_exactly_the_rows_without_one(rng):
     # the verdict path's rows are known to be symmetric, and its factor reads the lower
     # triangle, so only its non-pd rows have no spectrum
     for run, first in ((lambda V: (*core.symplectic_eigenvalues(V), core.ppt_nu_minus(V)), 32),
-                       (lambda V: core._spectrum(V, core._is_symmetric(V)), 32),
-                       (core._spectrum, 34)):
+                       (lambda V: core._spectrum(core._entries(V), core._is_symmetric(V)), 32),
+                       (lambda V: core._spectrum(core._entries(V)), 34)):
         out = run(V)
         for nu in out[:3]:
             assert np.array_equal(np.isnan(nu), np.isin(np.arange(len(V)), range(first, 38)))
@@ -409,7 +410,7 @@ def test_spectra_are_nan_on_exactly_the_rows_without_one(rng):
 def test_squeezed_vacua_keep_the_closed_form_verdict():
     # every pure TMSV of a 0.001 grid over [4.77, 9) has its spectrum and reads entangled
     V = resources.tmst_covmat(4.77 + 0.001 * np.arange(4230), 0.5, 0.5)
-    nm, npl, pt_nm, _, _ = core._spectrum(V)
+    nm, npl, pt_nm, _, _ = core._spectrum(core._entries(V))
     assert np.all(pt_nm < PPT_CUT) and np.all(nm <= npl) and np.all(npl < np.inf)
 
 
@@ -420,14 +421,14 @@ def test_no_label_reads_a_missing_spectrum(rng):
     stacks = {"TMSV r <= 20": resources.tmst_covmat(0.01 * np.arange(2001), 0.5, 0.5),
               **ppt_ensembles(rng, 1000)}
     for name, V in stacks.items():
-        (nm, npl, pt_nm, physical, _), row = criteria._evaluate(V)
+        (nm, npl, pt_nm, physical, _), row = criteria._evaluate(core._entries(V))
         missing = np.isnan(npl)
         assert np.array_equal(np.isnan(nm), missing) and np.array_equal(np.isnan(pt_nm), missing)
         assert not physical[missing].any(), name
         assert np.all(criteria.LABELS[row["class"][missing]] == "Unphysical"), name
         assert not (row["entangled"] | row["epr"] | row["qt"])[missing].any(), name
         assert np.array_equal(criteria.classify(V)[1], criteria.LABELS[row["class"]]), name
-    tmsv_missing = np.isnan(core._spectrum(stacks["TMSV r <= 20"])[1])
+    tmsv_missing = np.isnan(core._spectrum(core._entries(stacks["TMSV r <= 20"]))[1])
     assert not tmsv_missing[:900].any() and tmsv_missing.sum() > 600  # 672, from r = 9.27
 
 
@@ -642,12 +643,20 @@ def tokens(column):
     return core._column(np.asarray(column), "csv")[0]
 
 
+def vector_tokens(values, before="", after=""):
+    """``core._fmt17_tokens`` of ``values`` through its vectorised route: fewer than
+    ``core._FMT_LOOP`` values are repeated up to it, and the copies' tokens dropped."""
+    values = np.asarray(values, dtype=float)
+    padded = np.resize(values, max(values.size, core._FMT_LOOP))
+    return core._fmt17_tokens(padded, before, after)[:values.size]
+
+
 def assert_tokens_are_fmt17(values, before="", after=""):
-    """``core._fmt17_tokens`` against fmt17, value by value, in slices; returns the count."""
+    """``vector_tokens`` against fmt17, value by value, in slices; returns the count."""
     values = np.asarray(values, dtype=float).ravel()
     for lo in range(0, values.size, 1 << 18):
         part = values[lo:lo + (1 << 18)]
-        got = core._fmt17_tokens(part, before, after).tolist()
+        got = vector_tokens(part, before, after).tolist()
         want = [before + t + after for t in map(core.fmt17, part.tolist())]
         if got != want:
             i = next(i for i, (g, w) in enumerate(zip(got, want)) if g != w)
@@ -665,12 +674,28 @@ def test_tie_values_are_ties():
 @given(st.floats(allow_nan=False, allow_infinity=False))
 @settings(max_examples=2000, deadline=None)
 def test_float_tokens_are_fmt17_on_finite_floats(x):
-    assert core._fmt17_tokens(np.array([x])).tolist() == [core.fmt17(x)]
+    assert vector_tokens([x]).tolist() == [core.fmt17(x)]
 
 
 def test_float_tokens_are_fmt17_on_special_values():
-    assert core._fmt17_tokens(np.array(SPECIAL)).tolist() == [format(x, ".17g") for x in SPECIAL]
-    assert core._fmt17_tokens(np.array([np.nan, np.inf, -np.inf])).tolist() == ["null"] * 3
+    assert vector_tokens(SPECIAL).tolist() == [format(x, ".17g") for x in SPECIAL]
+    assert vector_tokens([np.nan, np.inf, -np.inf]).tolist() == ["null"] * 3
+
+
+def test_short_float_columns_take_fmt17_with_the_same_bytes(rng, monkeypatch):
+    # fmt17 one value at a time below _FMT_LOOP values, where _fmt17_block's fixed cost is
+    # the larger; either side of that size the tokens are the same bytes
+    blocks = []
+    monkeypatch.setattr(core, "_fmt17_block",
+                        lambda *a, f=core._fmt17_block: blocks.append(a[0].size) or f(*a))
+    values = np.concatenate([SPECIAL, [np.nan, np.inf, -np.inf, -0.0], TIES,
+                             np.copysign(10.0 ** rng.uniform(-13, 17, core._FMT_LOOP),
+                                         rng.random(core._FMT_LOOP) - 0.5)])
+    for n in (core._FMT_LOOP - 1, core._FMT_LOOP):
+        blocks.clear()
+        got = core._fmt17_tokens(values[:n], '"x": ', "}").tolist()
+        assert got == ['"x": ' + core.fmt17(v) + "}" for v in values[:n].tolist()], n
+        assert (sum(blocks) > 0) == (n >= core._FMT_LOOP), n
 
 
 def test_float_tokens_are_fmt17_byte_for_byte(rng):
@@ -710,7 +735,7 @@ def test_float_tokens_are_fmt17_byte_for_byte(rng):
     # one-digit values, where every digit but the first is a trailing zero
     n += assert_tokens_are_fmt17(signed(np.array(
         [float(f"{d}e{e}") for d in range(1, 10) for e in range(-13, 17)])))
-    assert core._fmt17_tokens(np.array([0.5, 0.01, 1e-5, 5e-7, 100.0])).tolist() == [
+    assert vector_tokens([0.5, 0.01, 1e-5, 5e-7, 100.0]).tolist() == [
         "0.5", "0.01", "1.0000000000000001e-05", "4.9999999999999998e-07", "100"]
     # every float column of a tmst and a bs sweep
     for family, axes in (("tmst", (("k1", 0.5, 2.5), ("k2", 0.5, 2.5))),

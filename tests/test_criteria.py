@@ -133,8 +133,8 @@ def test_entrywise_m_is_bit_identical_to_the_matmul_expression(rng):
     for name, V in stacks.items():
         want = m_matmul(V)
         det = want[..., 0, 0] * want[..., 1, 1] - want[..., 0, 1] * want[..., 1, 0]
-        assert np.array_equal(bits(criteria._m_raw(V)), bits(want)), name
-        assert np.array_equal(bits(criteria._det_m(V)), bits(det)), name
+        assert np.array_equal(bits(criteria._m_raw(core._entries(V))), bits(want)), name
+        assert np.array_equal(bits(criteria._det_m(core._entries(V))), bits(det)), name
     for name, V in physical.items():
         assert np.array_equal(bits(criteria.m_matrix(V)), bits(m_matmul(V))), name
     one = physical["random physical"][0]
@@ -342,7 +342,7 @@ def test_classify_factors_each_row_once(rng, monkeypatch):
     # the stack as given: asymmetric rows reach it too, marked not valid
     calls = []
     monkeypatch.setattr(core, "_spectrum",
-                        lambda V, *a, f=core._spectrum: calls.append(V[..., 0, 0].size) or f(V, *a))
+                        lambda e, *a, f=core._spectrum: calls.append(e[0].size) or f(e, *a))
     stack = sampling.random_physical_covmats(rng, 50)
     stack[:10, 1, 2] += 1e-3
     _, labels = criteria.classify(stack)
@@ -373,7 +373,7 @@ def test_classify_precedence_consistency(rng):
 
 
 def test_output_row_is_stated_once(tmp_path, capsys, monkeypatch):
-    names = list(criteria._evaluate(VACUUM)[1])
+    names = list(criteria._evaluate(core._entries(VACUUM))[1])
     assert list(criteria._UNPHYSICAL_ROW) == names
     config = sweep.SweepConfig("tmst", 0.5, sweep.AxisSpec("k1", 0.5, 1.5, 3),
                                sweep.AxisSpec("k2", 0.5, 1.5, 3))

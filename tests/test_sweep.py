@@ -260,8 +260,54 @@ def test_text_matches_the_reference_writer(monkeypatch, chunk, family, fmt, step
             for row in reference_rows(columns, fmt, {"class": criteria.LABELS})]
     assert "".join(pieces[1:-1]).split(sep) == want  # lists: a failure names the first row
     assert len(want) == steps * steps
-    # axes, flags and labels are codes: only the four float result columns are sorted
-    assert len(sorted_columns) == 4 * -(-steps * steps // chunk)
+    # axes, flags and labels are codes, and fidelity rides on det_m's distinct values: only
+    # three float result columns are sorted
+    assert len(sorted_columns) == 3 * -(-steps * steps // chunk)
+
+
+@pytest.mark.parametrize("family, r", [("tmst", 0.0), ("tmst", 4.5), ("tmst", 10.0),
+                                       ("tmst", 17.0), ("bs", 7.6)])
+def test_run_sweep_rows_are_the_stacked_states_bits(monkeypatch, family, r):
+    # the family's entries, as run_sweep passes them, against the kernel on the views of the
+    # constructor's (n, 4, 4) stack, bit for bit in all ten columns (floats as int64, so nan
+    # and -0 count); past r = 0 these grids hold Unphysical rows, and the tmst ones from
+    # r = 10 matrices that rounding stores not positive definite
+    monkeypatch.setattr(sweep, "_CHUNK", 1000)
+    names, build, _ = sweep._FAMILIES[family]
+    axes = ((0.5, 2.5), (0.5, 2.5)) if family == "tmst" else ((0.5, 2.0), (0.05, 0.95))
+    cfg = sweep.SweepConfig(family, r, *(sweep.AxisSpec(name, lo, hi, 61)
+                                         for name, (lo, hi) in zip(names, axes)))
+    grid = np.meshgrid(cfg.axis1.values(), cfg.axis2.values(), indexing="ij")
+    unphysical, lo = 0, 0
+    for chunk in sweep.run_sweep(cfg):
+        n = chunk["axis1"].size
+        want = {"axis1": grid[0].ravel()[lo:lo + n], "axis2": grid[1].ravel()[lo:lo + n],
+                **criteria._evaluate(core._entries(build(r, chunk["axis1"], chunk["axis2"])))[1]}
+        assert list(chunk) == list(want)
+        for name, column in want.items():
+            got = chunk[name]
+            if column.dtype.kind == "f":
+                got, column = got.view("i8"), column.view("i8")
+            assert got.dtype == column.dtype and np.array_equal(got, column), (name, lo)
+        unphysical += np.count_nonzero(criteria.LABELS[chunk["class"]] == "Unphysical")
+        lo += n
+    assert lo == cfg.size and (unphysical > 0) == (r > 0)
+
+
+def test_tmst_chunk_compute_peak_is_pinned():
+    # one full tmst chunk from the family's entries: a tracemalloc peak of 11.55 MB (numpy
+    # 2.4.6), against 17.3 MB when each chunk was an (n, 4, 4) stack read through views
+    cfg = sweep.SweepConfig("tmst", 0.48, sweep.AxisSpec("k1", 0.5, 2.5, 1001),
+                            sweep.AxisSpec("k2", 0.5, 2.5, 1001))
+    chunks = sweep.run_sweep(cfg)
+    tracemalloc.start()
+    try:
+        chunk = next(chunks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert chunk["class"].size == sweep._CHUNK
+    assert peak < 12_000_000, peak
 
 
 def test_run_sweep_takes_no_spectrum_on_an_ordinary_grid(monkeypatch):
@@ -286,7 +332,7 @@ def test_sweep_rows_classify_and_state_agree(capsys):
 
     points = [("tmst", 0.5 * i, 0.5, 0.5) for i in range(41)] + [
         ("bs", 0.01 * i, 0.5, T) for T in (0.3, 0.5, 0.9) for i in range(901)]
-    build = {family: f for family, (_, f) in sweep._FAMILIES.items()}
+    build = {family: f for family, (_, f, _) in sweep._FAMILIES.items()}
     labels = {}
     for point in points:
         family, *args = point
@@ -400,12 +446,8 @@ def test_json_text_peak_stays_at_its_compute_peak():
         collections.deque(sweep.run_sweep(cfg), maxlen=0)
         compute = tracemalloc.get_traced_memory()[1]
         chunk = sweep._axis_codes(next(sweep.run_sweep(cfg)), 0, cfg.axis2.steps)
-        keys = list(chunk)  # the JSON tokens _row_blocks makes of each column
-        before = ["{" * (k == keys[0]) + f'"{k}": ' for k in keys]
-        after = ["}" * (k == keys[-1]) for k in keys]
-        tracemalloc.reset_peak()
-        tokens = [core._column(chunk[k], "json", b, a, tables.get(k))
-                  for k, b, a in zip(keys, before, after)]
+        tracemalloc.reset_peak()  # the JSON tokens the writer makes of the chunk
+        tokens = core._tokens(chunk, "json", tables, sweep._GROUPS)
         formatting = tracemalloc.get_traced_memory()[1]
         del chunk, tokens
         tracemalloc.reset_peak()
@@ -447,7 +489,8 @@ def test_bs_reference_grid_verdicts_match_the_explicit_product():
                             axis1=sweep.AxisSpec(*axes[0]), axis2=sweep.AxisSpec(*axes[1]))
     rows = 0
     for chunk in sweep.run_sweep(cfg):
-        want = criteria._evaluate(beam_splitter_product(cfg.r, chunk["axis1"], chunk["axis2"]))[1]
+        V = beam_splitter_product(cfg.r, chunk["axis1"], chunk["axis2"])
+        want = criteria._evaluate(core._entries(V))[1]
         for name in ("entangled", "epr", "qt", "class"):
             assert np.array_equal(chunk[name], want[name]), name
         rows += chunk["class"].size
